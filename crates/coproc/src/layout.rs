@@ -154,7 +154,9 @@ impl TableState {
 
 /// Read and decode the record header of the record at `hdr_addr`.
 pub fn read_header(dram: &Dram, hdr_addr: u64) -> RecordHeader {
-    RecordHeader::decode(&dram.host_read(hdr_addr, HEADER_SIZE as usize))
+    let mut b = [0u8; HEADER_SIZE as usize];
+    dram.read_into(hdr_addr, &mut b);
+    RecordHeader::decode(&b)
 }
 
 /// Write a record header at `hdr_addr`.

@@ -31,6 +31,8 @@
 //!     .unwrap(),
 //! );
 //! let mut db = b.build();
+//! // For a bulk load, hold one `let mut loader = db.loader(0);` across all
+//! // inserts: its skiplist finger makes ascending keys cheap.
 //! db.loader(0).insert(accounts, &77u64.to_be_bytes(), &[1u8; 16]);
 //!
 //! let blk = db.alloc_block(0, 128);

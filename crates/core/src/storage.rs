@@ -12,9 +12,12 @@
 //! database before starting the clock (§5.1). A property test in
 //! `tests/loader_equivalence.rs` verifies load-vs-pipeline equivalence.
 
-use bionicdb_coproc::layout::{RecordHeader, TableState, TOWER_NEXTS, TUPLE_HEADER, TUPLE_NEXT};
-use bionicdb_coproc::sdbm_hash;
-use bionicdb_coproc::skiplist::tower_height;
+use bionicdb_coproc::layout::{
+    read_header, RecordHeader, TableState, TOWER_HEIGHT, TOWER_NEXTS, TUPLE_HEADER, TUPLE_NEXT,
+    TUPLE_PAYLOAD,
+};
+use bionicdb_coproc::sdbm::{bucket_of, sdbm_hash};
+use bionicdb_coproc::skiplist::{tower_height, MAX_SKIP_LEVEL};
 use bionicdb_fpga::{Dram, Region};
 use bionicdb_softcore::catalogue::{Catalogue, IndexKind};
 use bionicdb_softcore::{IndexKey, PartitionId, TableId};
@@ -75,15 +78,48 @@ impl Partition {
 }
 
 /// Host-side bulk loader for one partition.
+///
+/// Hold one `Loader` across a bulk load: it keeps a per-table skiplist
+/// *finger* (the last key inserted and its neighbours at every level), so
+/// keys loaded in ascending order cost a constant number of host accesses
+/// instead of a walk from the head through every level.
 pub struct Loader<'a> {
     dram: &'a mut Dram,
     partition: &'a mut Partition,
+    /// Skiplist fingers indexed by `TableId`, grown on first use. They stay
+    /// exact for the loader's whole life because it holds the only mutable
+    /// borrows of the partition and its DRAM, so nothing else can relink a
+    /// tower behind its back; they therefore never outlive the loader.
+    fingers: Vec<Option<Finger>>,
+}
+
+/// Where the last inserted key sits in one skiplist: at every level, the
+/// tower before it (itself, at levels its own tower reaches) and the tower
+/// after it. Tower address 0 is the head before, or the end of the list
+/// after.
+struct Finger {
+    key: IndexKey,
+    preds: [u64; MAX_SKIP_LEVEL],
+    succs: [u64; MAX_SKIP_LEVEL],
+}
+
+/// The next tower after `tower` (0 = the head) at `level`.
+fn next_at(dram: &Dram, state: &TableState, tower: u64, level: usize) -> u64 {
+    if tower == 0 {
+        dram.host_read_u64(state.head_next_addr(level))
+    } else {
+        dram.host_read_u64(tower + TOWER_NEXTS + 8 * level as u64)
+    }
 }
 
 impl<'a> Loader<'a> {
     /// Create a loader over `partition`.
     pub fn new(dram: &'a mut Dram, partition: &'a mut Partition) -> Self {
-        Loader { dram, partition }
+        Loader {
+            dram,
+            partition,
+            fingers: Vec::new(),
+        }
     }
 
     /// Insert a committed record. The payload length must match the table
@@ -104,7 +140,13 @@ impl<'a> Loader<'a> {
         let key = IndexKey::from_bytes(key);
         match state.meta.kind {
             IndexKind::Hash => Self::hash_insert(self.dram, state, key, payload),
-            IndexKind::Skiplist => Self::skiplist_insert(self.dram, state, key, payload),
+            IndexKind::Skiplist => {
+                let t = table.0 as usize;
+                if self.fingers.len() <= t {
+                    self.fingers.resize_with(t + 1, || None);
+                }
+                Self::skiplist_insert(self.dram, state, &mut self.fingers[t], key, payload)
+            }
         }
     }
 
@@ -118,60 +160,69 @@ impl<'a> Loader<'a> {
     }
 
     fn hash_insert(dram: &mut Dram, state: &mut TableState, key: IndexKey, payload: &[u8]) -> u64 {
-        let bucket = sdbm_hash(key.as_bytes()) & (state.meta.hash_buckets - 1);
+        let bucket = bucket_of(sdbm_hash(key.as_bytes()), state.meta.hash_buckets);
         let bucket_addr = state.bucket_addr(bucket);
         let head = dram.host_read_u64(bucket_addr);
         let addr = state.alloc_tuple();
         dram.host_write_u64(addr + TUPLE_NEXT, head);
         dram.host_write(addr + TUPLE_HEADER, &Self::header(key).encode());
-        dram.host_write(addr + bionicdb_coproc::layout::TUPLE_PAYLOAD, payload);
+        dram.host_write(addr + TUPLE_PAYLOAD, payload);
         dram.host_write_u64(bucket_addr, addr);
         addr
     }
 
+    /// Link a new tower in front of every tower whose key is not below
+    /// `key`, exactly where a walk from the head would. A key above the
+    /// finger's climbs from the finger until the level whose successor is
+    /// not below `key` (Pugh's search finger) and walks down from there;
+    /// any other key walks down from the head.
     fn skiplist_insert(
         dram: &mut Dram,
         state: &mut TableState,
+        finger: &mut Option<Finger>,
         key: IndexKey,
         payload: &[u8],
     ) -> u64 {
-        let h = tower_height(&key, state.max_level);
-        let head = state.dir_addr;
         let max_level = state.max_level;
-        // Walk from the top, collecting the predecessor at each level.
-        let next_of = move |dram: &Dram, tower: u64, level: usize| -> u64 {
-            if tower == 0 {
-                dram.host_read_u64(head + 8 * level as u64)
-            } else {
-                dram.host_read_u64(tower + TOWER_NEXTS + 8 * level as u64)
-            }
+        let h = tower_height(&key, max_level);
+        let below = |dram: &Dram, tower: u64| tower != 0 && read_header(dram, tower).key < key;
+        let mut at = Finger {
+            key,
+            preds: [0; MAX_SKIP_LEVEL],
+            succs: [0; MAX_SKIP_LEVEL],
         };
-        let mut preds = vec![0u64; max_level];
-        let mut cur = 0u64;
-        for level in (0..max_level).rev() {
-            loop {
-                let next = next_of(dram, cur, level);
-                if next == 0 {
-                    break;
+        // `top` is the highest level still to walk, from `cur` towards `next`.
+        let (top, mut cur, mut next) = match finger {
+            Some(f) if f.key < key => {
+                let mut top = 0;
+                while top + 1 < max_level && below(dram, f.succs[top + 1]) {
+                    top += 1;
                 }
-                let hdr = bionicdb_coproc::layout::read_header(dram, next);
-                if hdr.key < key {
-                    cur = next;
-                } else {
-                    break;
-                }
+                at.preds[top + 1..max_level].copy_from_slice(&f.preds[top + 1..max_level]);
+                at.succs[top + 1..max_level].copy_from_slice(&f.succs[top + 1..max_level]);
+                (top, f.preds[top], f.succs[top])
             }
-            preds[level] = cur;
+            _ => (max_level - 1, 0, next_at(dram, state, 0, max_level - 1)),
+        };
+        for level in (0..=top).rev() {
+            if level < top {
+                next = next_at(dram, state, cur, level);
+            }
+            while below(dram, next) {
+                cur = next;
+                next = next_at(dram, state, cur, level);
+            }
+            at.preds[level] = cur;
+            at.succs[level] = next;
         }
         let addr = state.alloc_tower(h);
         dram.host_write(addr, &Self::header(key).encode());
-        dram.host_write_u64(addr + 64, h as u64);
-        for (level, &pred) in preds.iter().enumerate().take(h) {
-            let succ = next_of(dram, pred, level);
+        dram.host_write_u64(addr + TOWER_HEIGHT, h as u64);
+        for (level, &succ) in at.succs[..h].iter().enumerate() {
             dram.host_write_u64(addr + TOWER_NEXTS + 8 * level as u64, succ);
         }
         dram.host_write(addr + TableState::tower_payload_off(h), payload);
-        for (level, &pred) in preds.iter().enumerate().take(h) {
+        for (level, &pred) in at.preds[..h].iter().enumerate() {
             let slot = if pred == 0 {
                 state.head_next_addr(level)
             } else {
@@ -179,6 +230,8 @@ impl<'a> Loader<'a> {
             };
             dram.host_write_u64(slot, addr);
         }
+        at.preds[..h].fill(addr);
+        *finger = Some(at);
         addr
     }
 
@@ -189,10 +242,10 @@ impl<'a> Loader<'a> {
         let key = IndexKey::from_bytes(key);
         match state.meta.kind {
             IndexKind::Hash => {
-                let bucket = sdbm_hash(key.as_bytes()) & (state.meta.hash_buckets - 1);
+                let bucket = bucket_of(sdbm_hash(key.as_bytes()), state.meta.hash_buckets);
                 let mut cur = self.dram.host_read_u64(state.bucket_addr(bucket));
                 while cur != 0 {
-                    let hdr = bionicdb_coproc::layout::read_header(self.dram, cur + TUPLE_HEADER);
+                    let hdr = read_header(self.dram, cur + TUPLE_HEADER);
                     if hdr.key == key && !hdr.is_tombstone() {
                         return Some(cur);
                     }
@@ -204,16 +257,11 @@ impl<'a> Loader<'a> {
                 let mut cur = 0u64;
                 for level in (0..state.max_level).rev() {
                     loop {
-                        let next = if cur == 0 {
-                            self.dram.host_read_u64(state.head_next_addr(level))
-                        } else {
-                            self.dram
-                                .host_read_u64(cur + TOWER_NEXTS + 8 * level as u64)
-                        };
+                        let next = next_at(self.dram, state, cur, level);
                         if next == 0 {
                             break;
                         }
-                        let hdr = bionicdb_coproc::layout::read_header(self.dram, next);
+                        let hdr = read_header(self.dram, next);
                         match hdr.key.cmp(&key) {
                             std::cmp::Ordering::Less => cur = next,
                             std::cmp::Ordering::Equal if level == 0 && !hdr.is_tombstone() => {
@@ -232,12 +280,11 @@ impl<'a> Loader<'a> {
     pub fn payload(&self, table: TableId, record_addr: u64) -> Vec<u8> {
         let state = &self.partition.tables[table.0 as usize];
         match state.meta.kind {
-            IndexKind::Hash => self.dram.host_read(
-                record_addr + bionicdb_coproc::layout::TUPLE_PAYLOAD,
-                state.meta.payload_len as usize,
-            ),
+            IndexKind::Hash => self
+                .dram
+                .host_read(record_addr + TUPLE_PAYLOAD, state.meta.payload_len as usize),
             IndexKind::Skiplist => {
-                let h = self.dram.host_read_u64(record_addr + 64) as usize;
+                let h = self.dram.host_read_u64(record_addr + TOWER_HEIGHT) as usize;
                 self.dram.host_read(
                     record_addr + TableState::tower_payload_off(h),
                     state.meta.payload_len as usize,
@@ -306,7 +353,7 @@ mod tests {
         let mut prev = None;
         let mut n = 0;
         while cur != 0 {
-            let hdr = bionicdb_coproc::layout::read_header(&dram, cur);
+            let hdr = read_header(&dram, cur);
             let k = hdr.key.to_u64();
             if let Some(p) = prev {
                 assert!(k > p);
@@ -316,6 +363,48 @@ mod tests {
             cur = dram.host_read_u64(cur + TOWER_NEXTS);
         }
         assert_eq!(n, 10);
+    }
+
+    #[test]
+    fn finger_falls_back_to_full_walk_at_or_below_last_key() {
+        // Keys at or below the finger's take the full walk from the head;
+        // the image must equal one built by a fresh loader per key.
+        let keys = [
+            (10u64, false),
+            (20, true),
+            (30, true),
+            (15, false),
+            (40, true),
+            (40, false),
+            (5, false),
+            (50, true),
+            (30, false),
+        ];
+        let (mut held_dram, mut held_part) = setup();
+        let (mut fresh_dram, mut fresh_part) = setup();
+        let mut loader = Loader::new(&mut held_dram, &mut held_part);
+        for (k, via_finger) in keys {
+            let key = k.to_be_bytes();
+            let finger_key = loader
+                .fingers
+                .get(1)
+                .and_then(|f| f.as_ref())
+                .map(|f| f.key);
+            assert_eq!(
+                finger_key.is_some_and(|f| f < IndexKey::from_bytes(&key)),
+                via_finger,
+                "key {k}"
+            );
+            let held = loader.insert(TableId(1), &key, &[k as u8; 16]);
+            let fresh = Loader::new(&mut fresh_dram, &mut fresh_part).insert(
+                TableId(1),
+                &key,
+                &[k as u8; 16],
+            );
+            assert_eq!(held, fresh, "key {k}");
+        }
+        drop(loader);
+        assert_eq!(held_dram.image_digest(), fresh_dram.image_digest());
     }
 
     #[test]

@@ -828,8 +828,9 @@ impl Dram {
 
     /// Untimed 8-byte little-endian read.
     pub fn host_read_u64(&self, addr: u64) -> u64 {
-        let b = self.host_read(addr, 8);
-        u64::from_le_bytes(b.try_into().expect("8 bytes"))
+        let mut b = [0u8; 8];
+        self.read_into(addr, &mut b);
+        u64::from_le_bytes(b)
     }
 
     /// Untimed 8-byte little-endian write.

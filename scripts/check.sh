@@ -43,6 +43,9 @@ gate "build (release, locked)" \
 gate "tests" \
     cargo test --workspace --locked --quiet
 
+gate "perfbench unit tests (benchmark package, own workspace)" \
+    cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 gate "clippy (deny warnings)" \
     cargo clippy --workspace --all-targets --locked -- -D warnings
 

@@ -1,9 +1,13 @@
-//! Property test: host-side bulk loading builds *logically identical*
-//! index structures to inserting through the hardware pipelines.
+//! Property tests for host-side bulk loading.
 //!
-//! Same sdbm bucket placement, same deterministic tower heights — so for
-//! any key set, lookups agree, every key is found, and the skiplist's
-//! bottom chain enumerates the keys in identical sorted order.
+//! 1. Loading builds *logically identical* index structures to inserting
+//!    through the hardware pipelines. Same sdbm bucket placement, same
+//!    deterministic tower heights — so for any key set, lookups agree,
+//!    every key is found, and the skiplist's bottom chain enumerates the
+//!    keys in identical sorted order.
+//! 2. A long-lived `Loader`, which starts skiplist walks at its finger,
+//!    writes exactly the DRAM image that a fresh `Loader` per insert (a
+//!    full walk from the head every time) writes, in every insert order.
 
 use bionicdb::{BionicConfig, SystemBuilder, TableMeta};
 use bionicdb_coproc::layout::{read_header, TOWER_NEXTS, TUPLE_HEADER};
@@ -119,5 +123,92 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(bottom_chain(&a, skip_a), sorted.clone());
         prop_assert_eq!(bottom_chain(&b, skip_b), sorted);
+    }
+}
+
+/// A machine with a hash table and two skiplists, no procedures.
+fn build_three() -> (bionicdb::Machine, [bionicdb::TableId; 3]) {
+    let mut b = SystemBuilder::new(BionicConfig::small(1));
+    let hash = b.table(TableMeta::hash("h", 8, 16, 1 << 6));
+    let skip_a = b.table(TableMeta::skiplist("a", 8, 16));
+    let skip_b = b.table(TableMeta::skiplist("b", 8, 16));
+    (b.build(), [hash, skip_a, skip_b])
+}
+
+/// Arrange `keys` in one of the insert orders a bulk load can present.
+fn arrange(mut keys: Vec<u64>, order: u8, run: usize) -> Vec<u64> {
+    match order {
+        // Ascending, the order every workload loads in.
+        0 => {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        // Descending: every key falls below the finger.
+        1 => {
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            keys.dedup();
+        }
+        // Shuffled, as drawn (duplicates included).
+        2 => {}
+        // Ascending runs that restart below the previous run's end.
+        3 => keys.chunks_mut(run).for_each(|c| c.sort_unstable()),
+        // Ascending with every key repeated: equal keys back to back.
+        _ => {
+            keys.sort_unstable();
+            keys = keys.iter().flat_map(|&k| [k, k]).collect();
+        }
+    }
+    keys
+}
+
+/// The inserts of one load: every key goes to all three tables, in an
+/// order that rotates per key. Skiplist `b` halves the key, so neighbouring
+/// keys collide there.
+fn inserts(keys: &[u64], tables: [bionicdb::TableId; 3]) -> Vec<(bionicdb::TableId, [u8; 8])> {
+    let [hash, skip_a, skip_b] = tables;
+    let mut out = Vec::new();
+    for (i, &k) in keys.iter().enumerate() {
+        let mut row = [
+            (hash, k.to_le_bytes()),
+            (skip_a, k.to_be_bytes()),
+            (skip_b, (k / 2).to_be_bytes()),
+        ];
+        row.rotate_left(i % 3);
+        out.extend(row);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn held_loader_matches_fresh_loader_per_insert(
+        keys in proptest::collection::vec(0u64..300, 1..120),
+        order in 0u8..5,
+        run in 2usize..24,
+    ) {
+        let keys = arrange(keys, order, run);
+        let (mut held, tables) = build_three();
+        let (mut fresh, _) = build_three();
+        let ops = inserts(&keys, tables);
+
+        let mut loader = held.loader(0);
+        let held_addrs: Vec<u64> = ops
+            .iter()
+            .map(|(t, k)| loader.insert(*t, k, &[k[0]; 16]))
+            .collect();
+        let fresh_addrs: Vec<u64> = ops
+            .iter()
+            .map(|(t, k)| fresh.loader(0).insert(*t, k, &[k[0]; 16]))
+            .collect();
+
+        prop_assert_eq!(&held_addrs, &fresh_addrs);
+        prop_assert_eq!(held.dram().image_digest(), fresh.dram().image_digest());
+        for skip in [tables[1], tables[2]] {
+            let chain = bottom_chain(&held, skip);
+            prop_assert!(chain.windows(2).all(|w| w[0] <= w[1]), "unsorted chain {chain:?}");
+            prop_assert_eq!(chain.len(), keys.len());
+        }
     }
 }
