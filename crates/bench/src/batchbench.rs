@@ -1,5 +1,5 @@
 //! The batched-traversal sweep harness (DESIGN.md §16), shared by the
-//! `batchsweep` study bin and the `batchcheck` gate.
+//! `batchsweep` study bin and the `goldencheck` gate.
 //!
 //! The sweep drives the coprocessor directly — one [`IndexCoproc`] over a
 //! private [`Dram`], no softcores or NoC — so the measured quantity is
@@ -8,7 +8,7 @@
 //! per batch) to 32 (a full wave of overlapped level fetches). Everything
 //! here is deterministic: keys come from a fixed LCG, the simulation is
 //! cycle-stepped, and the JSON rendering carries no wall-clock fields, so
-//! `batchcheck` can pin the `--quick` sweep byte-for-byte against a golden.
+//! `goldencheck` can pin the `--quick` sweep byte-for-byte against a golden.
 
 use bionicdb_coproc::layout::TableState;
 use bionicdb_coproc::{BatchStats, CoprocConfig, IndexCoproc};
@@ -268,7 +268,7 @@ pub fn sweep(quick: bool) -> Vec<SweepPoint> {
 }
 
 /// Render the sweep as deterministic JSON (no wall-clock fields): the
-/// `BENCH_batch.json` artifact and the `batchcheck` golden body.
+/// `BENCH_batch.json` artifact and the batch golden body.
 pub fn to_json(points: &[SweepPoint], quick: bool) -> String {
     use std::fmt::Write as _;
     let mut o = String::with_capacity(4096);

@@ -8,18 +8,16 @@
 //!   at 1, so the softcore idles through every DB round trip instead of
 //!   interleaving over it — which is exactly the span the fast-forward
 //!   scheduler elides. Results go to `BENCH_simperf.json`.
-//! * `--par` — the serial fast path vs the epoch-parallel scheduler under
-//!   both lookahead modes (`Global` = one min-latency horizon for every
-//!   lane, `Matrix` = per-pair horizons solved to a fixpoint) at 2 and 4
-//!   threads on a 4-worker multisite workload. Every run's `MachineReport`
-//!   JSON must be byte-identical — this is the `parcheck` gate in
-//!   `scripts/check.sh` — and the honest wall-clock numbers (with the
+//! * `--par` — the serial fast path vs the epoch-parallel scheduler
+//!   (per-pair lookahead horizons solved to a fixpoint) at 2 and 4 threads
+//!   on a 4-worker multisite workload. Every run's `MachineReport` JSON
+//!   must be byte-identical, and the honest wall-clock numbers (with the
 //!   host's CPU count, which bounds any attainable speedup) go to
 //!   `BENCH_parsim.json`. A second, deliberately skewed scenario (one
-//!   update-heavy worker, three near-idle peers across two chips) measures
-//!   what the matrix lookahead buys structurally: the epoch-round count,
-//!   which is thread-count-independent, must drop at least 5x vs the
-//!   global horizon.
+//!   update-heavy worker, four near-idle peers across two chips) measures
+//!   what the per-pair lookahead buys structurally: its epoch-round count,
+//!   which is thread-count-independent, must stay at least 5x below the
+//!   count recorded for the retired single global horizon.
 //!
 //! Full (non-`--quick`) runs append their cycles/sec to the append-only
 //! history file (`results/bench_history.jsonl` unless `--history PATH`),
@@ -29,7 +27,7 @@
 
 use std::time::Instant;
 
-use bionicdb::{BionicConfig, ExecMode, LaneActivity, LookaheadMode, Topology};
+use bionicdb::{BionicConfig, ExecMode, LaneActivity, Machine, Topology};
 use bionicdb_bench::history::{self, Entry};
 use bionicdb_bench::json::JsonOut;
 use bionicdb_bench::{rng, ArgSpec, BenchArgs};
@@ -94,20 +92,39 @@ struct ParRun {
     /// Per-lane scheduler counters (all zeros for the serial run).
     lanes: Vec<LaneActivity>,
     /// Barrier rounds the epoch scheduler executed (0 for the serial run).
-    /// Deterministic for a given workload + lookahead mode: the schedule
-    /// never depends on the thread count, only on who claims each lane.
+    /// Deterministic for a given workload: the schedule never depends on
+    /// the thread count, only on who claims each lane.
     epoch_rounds: u64,
     /// Posted-write DRAM acks cancelled instead of delivered to workers
     /// that had already retired the write.
     cancelled_acks: u64,
 }
 
-/// Run the 4-worker multisite wave at a given sim-thread count and
-/// lookahead mode and time it. Every worker sits on its own chip: the
-/// cheapest NoC path is a full inter-node link, so even the global
-/// conservative lookahead is 75 cycles and the workers genuinely run
-/// concurrently between barriers.
-fn measure_par(threads: usize, mode: LookaheadMode, txns_per_worker: usize) -> ParRun {
+/// Run a loaded machine to quiescence and time it.
+fn run_timed(m: &mut Machine) -> ParRun {
+    let c0 = m.now();
+    let t0 = Instant::now();
+    m.run_to_quiescence();
+    let wall_secs = t0.elapsed().as_secs_f64();
+    ParRun {
+        m: Measurement {
+            cycles: m.now() - c0,
+            ticks: m.ticks_executed(),
+            wall_secs,
+            committed: m.stats().committed,
+        },
+        report_json: m.report().to_json(),
+        lanes: m.lane_activity().to_vec(),
+        epoch_rounds: m.epoch_rounds(),
+        cancelled_acks: m.cancelled_write_acks(),
+    }
+}
+
+/// Run the 4-worker multisite wave at a given sim-thread count and time
+/// it. Every worker sits on its own chip: the cheapest NoC path is a full
+/// inter-node link, so every pair's conservative lookahead is 75 cycles
+/// and the workers genuinely run concurrently between barriers.
+fn measure_par(threads: usize, txns_per_worker: usize) -> ParRun {
     let cfg = BionicConfig {
         workers: 4,
         mode: ExecMode::Interleaved,
@@ -125,7 +142,6 @@ fn measure_par(threads: usize, mode: LookaheadMode, txns_per_worker: usize) -> P
     let mut y = YcsbBionic::build(cfg, spec, 4);
     y.machine.set_fast_forward(true);
     y.machine.set_sim_threads(threads);
-    y.machine.set_lookahead_mode(mode);
     let workers = y.machine.num_workers();
     let size = y.block_size(YcsbKind::ReadHomed);
     let mut pools: Vec<BlockPool> = (0..workers)
@@ -138,22 +154,7 @@ fn measure_par(threads: usize, mode: LookaheadMode, txns_per_worker: usize) -> P
             y.submit_txn(w, blk, YcsbKind::ReadHomed, &mut r);
         }
     }
-    let c0 = y.machine.now();
-    let t0 = Instant::now();
-    y.machine.run_to_quiescence();
-    let wall_secs = t0.elapsed().as_secs_f64();
-    ParRun {
-        m: Measurement {
-            cycles: y.machine.now() - c0,
-            ticks: y.machine.ticks_executed(),
-            wall_secs,
-            committed: y.machine.stats().committed,
-        },
-        report_json: y.machine.report().to_json(),
-        lanes: y.machine.lane_activity().to_vec(),
-        epoch_rounds: y.machine.epoch_rounds(),
-        cancelled_acks: y.machine.cancelled_write_acks(),
-    }
+    run_timed(&mut y.machine)
 }
 
 /// The skewed scenario for the epoch-round comparison: five workers on
@@ -161,14 +162,15 @@ fn measure_par(threads: usize, mode: LookaheadMode, txns_per_worker: usize) -> P
 /// grinding through a long run of local updates while the four peers
 /// retire a couple of *local* reads and go idle (local so they genuinely
 /// quiesce — a remote read homed at the busy partition would sit in its
-/// queue and keep the sender's lane alive all run). The global horizon is
-/// the cheapest pair anywhere: the 3-cycle same-chip links on the full
-/// chips throttle worker 4 to 3-cycle epochs forever. The per-pair
-/// matrix knows the only way worker 4 can be affected is its own traffic
-/// bouncing off a remote chip — a 150-cycle round trip — so its epochs
-/// are ~50x longer. The round count is deterministic and thread-count
-/// independent, so this measures the structural win even on 1 CPU.
-fn measure_skew(threads: usize, mode: LookaheadMode, hot: usize, light: usize) -> ParRun {
+/// queue and keep the sender's lane alive all run). A single global
+/// horizon would be the cheapest pair anywhere: the 3-cycle same-chip
+/// links on the full chips would throttle worker 4 to 3-cycle epochs
+/// forever. The per-pair matrix knows the only way worker 4 can be
+/// affected is its own traffic bouncing off a remote chip — a 150-cycle
+/// round trip — so its epochs are ~50x longer. The round count is
+/// deterministic and thread-count independent, so this measures the
+/// structural win even on 1 CPU.
+fn measure_skew(threads: usize, hot: usize, light: usize) -> ParRun {
     let cfg = BionicConfig {
         workers: 5,
         mode: ExecMode::Interleaved,
@@ -186,7 +188,6 @@ fn measure_skew(threads: usize, mode: LookaheadMode, hot: usize, light: usize) -
     let mut y = YcsbBionic::build(cfg, spec, 4);
     y.machine.set_fast_forward(true);
     y.machine.set_sim_threads(threads);
-    y.machine.set_lookahead_mode(mode);
     let workers = y.machine.num_workers();
     let upd_size = y.block_size(YcsbKind::UpdateLocal);
     let read_size = y.block_size(YcsbKind::ReadLocal);
@@ -203,22 +204,7 @@ fn measure_skew(threads: usize, mode: LookaheadMode, hot: usize, light: usize) -
             y.submit_txn(w, blk, kind, &mut r);
         }
     }
-    let c0 = y.machine.now();
-    let t0 = Instant::now();
-    y.machine.run_to_quiescence();
-    let wall_secs = t0.elapsed().as_secs_f64();
-    ParRun {
-        m: Measurement {
-            cycles: y.machine.now() - c0,
-            ticks: y.machine.ticks_executed(),
-            wall_secs,
-            committed: y.machine.stats().committed,
-        },
-        report_json: y.machine.report().to_json(),
-        lanes: y.machine.lane_activity().to_vec(),
-        epoch_rounds: y.machine.epoch_rounds(),
-        cancelled_acks: y.machine.cancelled_write_acks(),
-    }
+    run_timed(&mut y.machine)
 }
 
 /// Append per-lane scheduler counters as a JSON array field.
@@ -243,10 +229,9 @@ fn push_lane_json(out: &mut String, lanes: &[LaneActivity]) {
     out.push_str("  ]");
 }
 
-/// The `--par` study: serial fast path vs epoch-parallel under both
-/// lookahead modes at 2 and 4 threads, plus the skewed epoch-round
-/// comparison. Byte-identity of the report JSON is asserted across every
-/// run (the `parcheck` equivalence gate); speedups are recorded honestly
+/// The `--par` study: serial fast path vs epoch-parallel at 2 and 4
+/// threads, plus the skewed epoch-round scenario. Byte-identity of the
+/// report JSON is asserted across every run; speedups are recorded honestly
 /// alongside the host's CPU count, since a 1-CPU container cannot show
 /// wall-clock gains no matter how parallel the schedule is.
 fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
@@ -255,18 +240,11 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    let serial = measure_par(1, LookaheadMode::Matrix, txns);
-    let global2 = measure_par(2, LookaheadMode::Global, txns);
-    let global4 = measure_par(4, LookaheadMode::Global, txns);
-    let matrix2 = measure_par(2, LookaheadMode::Matrix, txns);
-    let matrix4 = measure_par(4, LookaheadMode::Matrix, txns);
+    let serial = measure_par(1, txns);
+    let matrix2 = measure_par(2, txns);
+    let matrix4 = measure_par(4, txns);
 
-    let runs = [
-        ("global x2", &global2),
-        ("global x4", &global4),
-        ("matrix x2", &matrix2),
-        ("matrix x4", &matrix4),
-    ];
+    let runs = [("matrix x2", &matrix2), ("matrix x4", &matrix4)];
     for (label, run) in runs {
         assert_eq!(
             serial.m.cycles, run.m.cycles,
@@ -281,7 +259,7 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
             "epoch-parallel ({label}) report JSON must be byte-identical"
         );
     }
-    println!("report JSON byte-identical: serial vs global/matrix lookahead at 2 and 4 threads");
+    println!("report JSON byte-identical: serial vs epoch-parallel at 2 and 4 threads");
 
     for (label, run) in [("serial", &serial)].into_iter().chain(runs) {
         println!(
@@ -311,52 +289,42 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
         }
     }
 
-    // The structural win, independent of host CPU count: per-pair
-    // lookahead must need fewer barrier rounds than the single global
-    // horizon on the balanced scenario...
-    assert!(
-        matrix2.epoch_rounds <= global2.epoch_rounds,
-        "matrix lookahead must never need more rounds than global \
-         (matrix {}, global {})",
-        matrix2.epoch_rounds,
-        global2.epoch_rounds
+    // The structural win, independent of host CPU count: on the skewed
+    // scenario the per-pair lookahead must stay at least 5x below the
+    // rounds the retired single global horizon (`GVT + Lmin - 1` for
+    // every lane) needed, as recorded by the last build that had it; its
+    // cheapest-pair step was pure overhead once the light workers drained.
+    let (hot, light, global_rounds) = if quick {
+        (60, 3, 9_605)
+    } else {
+        (400, 10, 63_757)
+    };
+    let skew = measure_skew(2, hot, light);
+    println!(
+        "skew matrix: {} rounds over {} cycles",
+        skew.epoch_rounds, skew.m.cycles
     );
-    // ...and at least 5x fewer on the skewed one, where the global
-    // horizon's cheapest-pair step is pure overhead once the light
-    // workers drain.
-    let (hot, light) = if quick { (60, 3) } else { (400, 10) };
-    let skew_global = measure_skew(2, LookaheadMode::Global, hot, light);
-    let skew_matrix = measure_skew(2, LookaheadMode::Matrix, hot, light);
-    assert_eq!(
-        skew_global.report_json, skew_matrix.report_json,
-        "skewed scenario must stay byte-identical across lookahead modes"
-    );
-    for (label, run) in [("skew global", &skew_global), ("skew matrix", &skew_matrix)] {
-        println!("{label}: {} rounds over {} cycles", run.epoch_rounds, run.m.cycles);
-        for (w, lane) in run.lanes.iter().enumerate() {
-            println!(
-                "        lane {w}: {} rounds, {} ticks, {} skipped, epoch len p50/p95/max {:.0}/{:.0}/{}",
-                lane.rounds, lane.ticks, lane.skips,
-                lane.epoch_len.p50(), lane.epoch_len.p95(), lane.epoch_len.max()
-            );
-        }
+    for (w, lane) in skew.lanes.iter().enumerate() {
+        println!(
+            "        lane {w}: {} rounds, {} ticks, {} skipped, epoch len p50/p95/max {:.0}/{:.0}/{}",
+            lane.rounds, lane.ticks, lane.skips,
+            lane.epoch_len.p50(), lane.epoch_len.p95(), lane.epoch_len.max()
+        );
     }
     assert!(
-        skew_matrix.epoch_rounds * 5 <= skew_global.epoch_rounds,
-        "matrix lookahead must cut skewed-scenario epoch rounds at least 5x \
-         (matrix {}, global {})",
-        skew_matrix.epoch_rounds,
-        skew_global.epoch_rounds
+        skew.epoch_rounds * 5 <= global_rounds,
+        "matrix lookahead must need at least 5x fewer skewed-scenario epoch \
+         rounds than the recorded global horizon (matrix {}, global {global_rounds})",
+        skew.epoch_rounds
     );
-    let round_ratio = skew_global.epoch_rounds as f64 / skew_matrix.epoch_rounds.max(1) as f64;
+    let round_ratio = global_rounds as f64 / skew.epoch_rounds.max(1) as f64;
     println!(
-        "skewed scenario: {} rounds under global lookahead, {} under matrix ({round_ratio:.1}x fewer)",
-        skew_global.epoch_rounds, skew_matrix.epoch_rounds
+        "skewed scenario: {} rounds under matrix lookahead ({round_ratio:.1}x fewer than \
+         the recorded {global_rounds} under a global horizon)",
+        skew.epoch_rounds
     );
 
     let speedups = [
-        ("global2", serial.m.wall_secs / global2.m.wall_secs),
-        ("global4", serial.m.wall_secs / global4.m.wall_secs),
         ("matrix2", serial.m.wall_secs / matrix2.m.wall_secs),
         ("matrix4", serial.m.wall_secs / matrix4.m.wall_secs),
     ];
@@ -364,7 +332,7 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
         println!("speedup {label}: {s:.2}x");
     }
     println!("host has {host_cpus} CPU(s)");
-    let best_matrix = speedups[2].1.max(speedups[3].1);
+    let best_matrix = speedups[0].1.max(speedups[1].1);
     // Wall-clock assertions need real cores and a full-size wave; byte
     // identity above is asserted unconditionally.
     if !quick && host_cpus >= 4 {
@@ -418,9 +386,8 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     json.push_str(",\n");
     json.push_str(&format!(
         "  \"skewed\": {{ \"hot_txns\": {hot}, \"light_txns\": {light}, \
-         \"global_epoch_rounds\": {}, \"matrix_epoch_rounds\": {}, \"round_ratio\": {round_ratio:.1}, \
-         \"cancelled_write_acks\": {}, \"report_bytes_identical\": true }}\n",
-        skew_global.epoch_rounds, skew_matrix.epoch_rounds, skew_matrix.cancelled_acks
+         \"matrix_epoch_rounds\": {}, \"cancelled_write_acks\": {} }}\n",
+        skew.epoch_rounds, skew.cancelled_acks
     ));
     json.push_str("}\n");
     std::fs::write(out_path, json).expect("write results file");
@@ -432,14 +399,13 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
         let t = history::now_unix();
         for (bench, cps, cycles) in [
             ("parsim-serial", serial.m.cycles_per_sec(), serial.m.cycles),
-            ("parsim-global", global4.m.cycles_per_sec(), global4.m.cycles),
             ("parsim-matrix", matrix4.m.cycles_per_sec(), matrix4.m.cycles),
         ] {
             let mut e = Entry::basic(bench, cps, t);
             e.committed_cycles = Some(cycles);
             history::append(history_path.as_ref(), &e).expect("append bench history");
         }
-        println!("appended 3 entries to {history_path}");
+        println!("appended 2 entries to {history_path}");
     }
 
     let mut jout = JsonOut::from_env("simperf-par");
@@ -447,11 +413,9 @@ fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     jout.value_row("simulated_cycles", serial.m.cycles as f64);
     jout.value_row("committed", serial.m.committed as f64);
     jout.value_row("serial_cycles_per_sec", serial.m.cycles_per_sec());
-    jout.value_row("global4_cycles_per_sec", global4.m.cycles_per_sec());
     jout.value_row("matrix4_cycles_per_sec", matrix4.m.cycles_per_sec());
-    jout.value_row("speedup_matrix4", speedups[3].1);
-    jout.value_row("skew_global_rounds", skew_global.epoch_rounds as f64);
-    jout.value_row("skew_matrix_rounds", skew_matrix.epoch_rounds as f64);
+    jout.value_row("speedup_matrix4", speedups[1].1);
+    jout.value_row("skew_matrix_rounds", skew.epoch_rounds as f64);
     for (w, lane) in matrix4.lanes.iter().enumerate() {
         jout.value_row(&format!("matrix4_lane{w}_rounds"), lane.rounds as f64);
         jout.value_row(&format!("matrix4_lane{w}_ticks"), lane.ticks as f64);

@@ -35,6 +35,15 @@ impl JsonOut {
         }
     }
 
+    /// Collect rows for a fixed output `path` instead of `--json`.
+    pub fn to_path(bin: &str, path: &str) -> JsonOut {
+        JsonOut {
+            bin: bin.to_string(),
+            path: Some(path.to_string()),
+            rows: Vec::new(),
+        }
+    }
+
     /// True when a `--json` path was given (rows are being collected).
     pub fn active(&self) -> bool {
         self.path.is_some()

@@ -10,7 +10,7 @@
 //!   over any [`bionicdb_workloads::Workload`]. The legacy entry points
 //!   ([`bionic_ycsb_tput`], [`bionic_tpcc_tput`], …) are thin adapters and
 //!   remain bit-identical to the pre-ABI hand-rolled loops (pinned by the
-//!   `workloadcheck` goldens);
+//!   `goldencheck` workload goldens);
 //! * [`silo_model_tput`] — the equivalent single runner for the Silo
 //!   baseline under the Xeon cache/timing model, scaled to a core count
 //!   with a calibrated multi-socket efficiency factor.

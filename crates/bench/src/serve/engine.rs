@@ -12,7 +12,7 @@
 //!   its own event heap. With a synchronous engine this loop is
 //!   *instruction-for-instruction* the pre-refactor `sim.rs` driver: the
 //!   same events in the same order consume the same RNG draws, which is
-//!   why the `servecheck` goldens survive the refactor byte-for-byte.
+//!   why the `goldencheck` serve goldens survive the refactor byte-for-byte.
 //! * **Asynchronous** (the cycle-accurate BionicDB machine,
 //!   [`super::hw::BionicServeEngine`]): `dispatch` injects the
 //!   transaction into the simulated hardware and returns
@@ -113,7 +113,7 @@ pub trait ServeEngine {
     }
 }
 
-/// Heap events. `Flush` was added after the `servecheck` goldens were
+/// Heap events. `Flush` was added after the serve goldens were
 /// captured; it sorts after the legacy variants, and configurations
 /// without a [`BatchPolicy`] never push it, so legacy event schedules are
 /// unchanged.

@@ -34,7 +34,7 @@
 //! with fast-forward and epoch-parallel execution byte-identically — see
 //! `crates/bench/tests/inject.rs`). A fixed seed therefore yields a
 //! byte-identical [`ServeSummary`](super::ServeSummary), which the
-//! `servecheck` hardware-engine golden section pins.
+//! `goldencheck` `serve_hw` golden pins.
 
 use std::collections::HashMap;
 

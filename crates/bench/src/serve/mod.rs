@@ -27,7 +27,7 @@
 //!   batching dispatcher;
 //! * [`sim`] — the Silo virtual-time engine: service times come from the
 //!   calibrated Xeon core model, events run on a discrete-event heap,
-//!   summaries are byte-stable (the `servecheck` CI gate);
+//!   summaries are byte-stable (the `goldencheck` serve golden);
 //! * [`hw`] — the BionicDB hardware engine: dispatches inject
 //!   transactions into the cycle-accurate [`bionicdb::Machine`] mid-run
 //!   (`inject_txn`/`step_until`, DESIGN.md §17) and completions surface
@@ -349,7 +349,7 @@ impl ServeSummary {
     }
 
     /// Render as a deterministic single-object JSON string (fixed field
-    /// order, fixed float formats) — the byte-stable form `servecheck`
+    /// order, fixed float formats) — the byte-stable form `goldencheck`
     /// pins to a golden.
     pub fn render_json(&self, label: &str) -> String {
         use std::fmt::Write as _;

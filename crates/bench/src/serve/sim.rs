@@ -8,7 +8,7 @@
 //! order, so the event schedule is a total order and the whole run is a
 //! pure function of [`ServeConfig`]. A fixed seed therefore produces a
 //! **byte-identical** [`ServeSummary::render_json`] on any host, which is
-//! what the `servecheck` CI gate pins (same idea as `workloadcheck`).
+//! what the `goldencheck` serve golden pins.
 //! The goldens captured before the [`ServeEngine`] extraction still pass
 //! byte-for-byte: a synchronous engine makes the generic loop replay the
 //! old driver's event schedule and RNG draws exactly.

@@ -58,9 +58,7 @@ pub mod storage;
 pub mod worker;
 
 pub use config::{BionicConfig, NocRetryConfig};
-pub use machine::{
-    LaneActivity, LookaheadMode, Machine, MachineStats, RetryBudget, RetryOutcome, SystemBuilder,
-};
+pub use machine::{LaneActivity, Machine, MachineStats, RetryBudget, RetryOutcome, SystemBuilder};
 pub use recovery::{Checkpoint, CommandLog, DurableImage, LogRecord, RecoveryError};
 pub use report::{MachineReport, WorkerReport};
 pub use storage::Loader;

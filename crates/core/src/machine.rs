@@ -141,7 +141,6 @@ impl SystemBuilder {
             ticks_executed: 0,
             lane_activity,
             epoch_rounds: 0,
-            lookahead_mode: LookaheadMode::default(),
             fault_plan: FaultPlan::none(),
             crashed: false,
             crash_hook: None,
@@ -229,23 +228,6 @@ impl RetryOutcome {
     }
 }
 
-/// How the epoch-parallel scheduler derives its synchronization horizons
-/// (see `machine/par.rs` and DESIGN.md §11). Both modes are bit-exact with
-/// serial ticking; they differ only in how far each lane may run between
-/// barriers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LookaheadMode {
-    /// One horizon for every lane, derived from the global minimum pair
-    /// latency (`Noc::min_hop_latency`) — the PR-4 scheduler's behavior,
-    /// kept as the baseline the matrix scheduler is diffed against.
-    Global,
-    /// Per-lane horizons from the per-pair lookahead matrix
-    /// (`Noc::min_latency(src, dst)`): a lane only synchronizes tightly
-    /// with lanes that can actually reach it soon.
-    #[default]
-    Matrix,
-}
-
 /// Per-lane instrumentation from the epoch-parallel scheduler. Simulator
 /// measurements, not machine state: excluded from [`MachineStats`] and
 /// [`Machine::report`], surfaced only by tooling (`simperf --par`).
@@ -315,8 +297,6 @@ pub struct Machine {
     /// simulated span means longer epochs and less synchronization.
     /// Simulator instrumentation, like `ticks_executed`.
     epoch_rounds: u64,
-    /// Horizon derivation for the epoch-parallel scheduler.
-    lookahead_mode: LookaheadMode,
     /// The installed fault schedule (its NoC/DRAM parts are distributed to
     /// those components at install time; the crash/log parts live here).
     fault_plan: FaultPlan,
@@ -577,52 +557,7 @@ impl Machine {
         {
             return self.run_fleet_to_quiescence(limit);
         }
-        let start = self.now;
-        // Epoch-parallel phase: with more than one sim thread configured,
-        // run the bulk of the work on real threads (bit-exact with the
-        // serial loop below — see `par`), then let the serial loop handle
-        // the uniform exit conditions (quiescence, crash, limit).
-        if self.fast_forward && self.sim_threads > 1 && self.workers.len() > 1 && !self.crashed {
-            self.run_epochs(start, limit);
-        }
-        while !self.is_quiescent() {
-            if self.crashed {
-                break;
-            }
-            assert!(
-                self.now - start < limit,
-                "machine did not quiesce within {limit} cycles; workers: {:?}",
-                self.workers
-            );
-            // Fast-forward: when every component agrees nothing can happen
-            // before cycle `t`, jump the clock to `t - 1` (charging the
-            // skipped span's bulk accounting) and tick normally onto `t`.
-            // A delivered-but-unconsumed DRAM response could be consumed on
-            // the very next tick, so no skip is attempted while one exists.
-            if self.fast_forward && !self.any_buffered_responses() {
-                if let Some(t) = self.next_event() {
-                    debug_assert!(t > self.now, "next_event returned a past cycle");
-                    // Never skip past a scheduled crash: the crash cycle
-                    // must be *ticked* in both strict and fast modes so the
-                    // crash-instant state is bit-identical.
-                    let t = match self.fault_plan.crash_at {
-                        Some(c) => t.min(c).max(self.now + 1),
-                        None => t,
-                    };
-                    let k = t - self.now - 1;
-                    if k > 0 {
-                        self.now += k;
-                        for w in &mut self.workers {
-                            w.skip(k);
-                        }
-                    }
-                }
-                // `None` while not quiescent means no component volunteered
-                // a bound; fall through to a strict tick (costs speed only).
-            }
-            self.tick();
-        }
-        self.now - start
+        self.advance(limit, true)
     }
 
     /// Inject a populated transaction block into `worker`'s input queue at
@@ -670,28 +605,55 @@ impl Machine {
             "step_until is unavailable in fleet mode (workers live in chip \
              processes); stream into an in-process machine instead"
         );
-        let start = self.now;
-        if target <= start {
+        if target <= self.now {
             return 0;
         }
-        // Epoch-parallel phase: the event cap `start + limit - 1` lands on
-        // `target - 1`, so every event strictly before `target` runs on the
-        // worker threads and the serial loop below only walks the idle tail
-        // onto `target` itself (events *at* `target` belong to the tick
-        // that lands there, which stays serial).
+        self.advance(target - self.now, false)
+    }
+
+    /// The loop behind [`Machine::run_to_quiescence_limit`] (`quiesce`:
+    /// stop once quiescent, panic after `limit` cycles) and
+    /// [`Machine::step_until`] (stop exactly `limit` cycles on, quiescent
+    /// or not). Either way it stops early once the machine crashes, and
+    /// returns the cycles advanced.
+    ///
+    /// With more than one sim thread, an epoch-parallel phase first runs
+    /// every event before `now + limit` on real threads (bit-exact with
+    /// the serial loop — see `par`); the serial loop then handles the
+    /// uniform exit conditions and, for a timed run, ticks the final
+    /// stretch onto the target (events *at* the target belong to the tick
+    /// that lands there, which stays serial).
+    fn advance(&mut self, limit: u64, quiesce: bool) -> u64 {
+        let start = self.now;
         if self.fast_forward && self.sim_threads > 1 && self.workers.len() > 1 && !self.crashed {
-            self.run_epochs(start, target - start);
+            self.run_epochs(start, limit);
         }
-        while self.now < target {
-            if self.crashed {
+        let target = if quiesce { u64::MAX } else { start + limit };
+        loop {
+            let done = if quiesce {
+                self.is_quiescent()
+            } else {
+                self.now >= target
+            };
+            if done || self.crashed {
                 break;
             }
+            assert!(
+                self.now - start < limit,
+                "machine did not quiesce within {limit} cycles; workers: {:?}",
+                self.workers
+            );
+            // Fast-forward: when every component agrees nothing can happen
+            // before cycle `t`, jump the clock to `t - 1` (charging the
+            // skipped span's bulk accounting) and tick normally onto `t`.
+            // A delivered-but-unconsumed DRAM response could be consumed on
+            // the very next tick, so no skip is attempted while one exists.
             if self.fast_forward && !self.any_buffered_responses() {
-                // Unlike run_to_quiescence, a quiescent machine keeps
-                // advancing: with no component volunteering an event the
-                // span to `target` is provably idle, so skip straight to
-                // it (charging the same bulk idle accounting strict
-                // ticking would).
+                // A quiescent machine (reachable only on a timed run) with
+                // no component volunteering an event is provably idle all
+                // the way to `target`. Otherwise `None` means no component
+                // volunteered a bound: fall through to a strict tick
+                // (costs speed only).
                 let bound = match self.next_event() {
                     Some(t) => Some(t),
                     None if self.is_quiescent() => Some(target),
@@ -699,6 +661,9 @@ impl Machine {
                 };
                 if let Some(t) = bound {
                     debug_assert!(t > self.now, "next_event returned a past cycle");
+                    // Never skip past the target or a scheduled crash: the
+                    // crash cycle must be *ticked* in both strict and fast
+                    // modes so the crash-instant state is bit-identical.
                     let t = t.min(target);
                     let t = match self.fault_plan.crash_at {
                         Some(c) => t.min(c),
@@ -855,18 +820,6 @@ impl Machine {
         self.dram.cancelled_acks() + banks
     }
 
-    /// Select how the epoch-parallel scheduler derives its horizons. Both
-    /// modes are bit-exact with serial ticking (enforced by `parcheck`);
-    /// [`LookaheadMode::Matrix`] is the default.
-    pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {
-        self.lookahead_mode = mode;
-    }
-
-    /// The configured horizon derivation.
-    pub fn lookahead_mode(&self) -> LookaheadMode {
-        self.lookahead_mode
-    }
-
     /// Simulated seconds elapsed.
     pub fn elapsed_secs(&self) -> f64 {
         self.cfg.fpga.cycles_to_secs(self.now)
@@ -963,7 +916,7 @@ impl Machine {
     /// Request fleet-mode simulation: `run_to_quiescence` forks `n` chip
     /// processes (lazily, at its first call) and coordinates them over the
     /// fleet transport — bit-for-bit identical to the in-process engines
-    /// (enforced by `fleetcheck`). `0` or `1` disables fleet mode. Must be
+    /// (enforced by `goldencheck`). `0` or `1` disables fleet mode. Must be
     /// called from a single-threaded process (forking), and before the
     /// first fleet run; machine configuration (fault plans, trace sinks,
     /// procedure uploads) must be complete before that run spawns.

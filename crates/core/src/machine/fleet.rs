@@ -68,7 +68,7 @@
 //!   one more round) and by finishing every lane *through* the crash
 //!   cycle before latching the crash.
 //!
-//! `scripts/check.sh`'s `fleetcheck` gate asserts the contract end to end:
+//! `goldencheck`'s `fleet` check asserts the contract end to end:
 //! full `MachineReport` JSON from a fleet run diffs byte-for-byte against
 //! the in-process engine on fixed seeds.
 //!
@@ -1082,7 +1082,6 @@ impl Machine {
             cap = cap.min(c);
         }
         let tracing = self.trace_sink.enabled();
-        let lmin = self.noc.min_hop_latency();
         let mut merger = EpochMerger::new(&self.noc);
         let links: Vec<EpochLink> = self.noc.begin_epoch();
         let init: Vec<(Option<u64>, bool, bool)> = (0..n)
@@ -1117,7 +1116,7 @@ impl Machine {
                 links: chunk,
             }));
         }
-        let mut coord = EpochCoordinator::new(self.lookahead_mode, cap, lmin, start, init);
+        let mut coord = EpochCoordinator::new(cap, start, init);
         let mut trace_buf: Vec<(u64, u32, TxnEvent)> = Vec::new();
         let mut rounds_done = 0u64;
         // Whether the serial mop-up's one post-cap fast-forward step has
@@ -1283,7 +1282,7 @@ mod tests {
     /// The ring transport works in-process too (threads instead of forked
     /// processes share the mapping just as well), which is how it can be
     /// unit-tested under the multi-threaded cargo harness — whole-fleet
-    /// tests live in single-threaded binaries (`fleetcheck`, `chaos`).
+    /// tests live in single-threaded binaries (`goldencheck`, `chaos`).
     #[test]
     fn shm_chan_streams_frames_larger_than_the_ring() {
         // Cross-wire manually (Chan::pair consults the env; build explicit).

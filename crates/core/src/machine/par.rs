@@ -36,9 +36,7 @@
 //!    even though k → i directly is expensive).
 //! 4. Per-lane horizon `H_i = min(floor_i, min_{j != i}(A_j + L(j, i))) - 1`
 //!    (capped): no send any lane can still make, and no send already
-//!    staged, can arrive at `i` at or before `H_i`. In
-//!    [`LookaheadMode::Global`] the horizon is instead the uniform
-//!    `GVT + Lmin - 1` — the PR-4 baseline, kept for `parcheck` diffing.
+//!    staged, can arrive at `i` at or before `H_i`.
 //! 5. Every lane whose next action is `<= H_i` becomes a work item on a
 //!    shared schedule; threads (the coordinator included) **claim lanes
 //!    dynamically** with an atomic cursor, so skewed workloads no longer
@@ -89,7 +87,7 @@ use bionicdb_noc::{EpochLink, EpochMerger, Noc, Packet, StagedBatch};
 use bionicdb_softcore::catalogue::Catalogue;
 use bionicdb_softcore::PartitionId;
 
-use super::{LookaheadMode, Machine};
+use super::Machine;
 use crate::worker::PartitionWorker;
 
 /// One worker's slice of the machine, self-contained for a round. Shared
@@ -589,10 +587,7 @@ pub(crate) enum Step {
 /// bit-identical by construction rather than by parallel maintenance.
 pub(crate) struct EpochCoordinator {
     n: usize,
-    mode: LookaheadMode,
     pub(crate) cap: u64,
-    /// Global minimum lookahead (for [`LookaheadMode::Global`]).
-    lmin: u64,
     now0: u64,
     /// Per-lane exit hints, refreshed from [`LaneOut`] at each barrier.
     hint: Vec<Option<u64>>,
@@ -614,13 +609,7 @@ impl EpochCoordinator {
     /// Build from the phase-entry snapshot: one `(hint, drained,
     /// quiescent)` triple per lane, captured right after
     /// [`Noc::begin_epoch`] detached the links.
-    pub(crate) fn new(
-        mode: LookaheadMode,
-        cap: u64,
-        lmin: u64,
-        now0: u64,
-        init: Vec<(Option<u64>, bool, bool)>,
-    ) -> Self {
+    pub(crate) fn new(cap: u64, now0: u64, init: Vec<(Option<u64>, bool, bool)>) -> Self {
         let n = init.len();
         let mut hint = Vec::with_capacity(n);
         let mut drained = Vec::with_capacity(n);
@@ -632,9 +621,7 @@ impl EpochCoordinator {
         }
         EpochCoordinator {
             n,
-            mode,
             cap,
-            lmin,
             now0,
             hint,
             pos: vec![now0; n],
@@ -741,51 +728,45 @@ impl EpochCoordinator {
         // and therefore send — at, including being woken through a chain
         // of nearer lanes ----
         let mut act = self.base.clone();
-        if self.mode == LookaheadMode::Matrix {
-            loop {
-                let mut changed = false;
-                for j in 0..n {
-                    for k in 0..n {
-                        if k == j {
-                            continue;
-                        }
-                        if let Some(ak) = act[k] {
-                            let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
-                            if act[j].is_none_or(|aj| via < aj) {
-                                act[j] = Some(via);
-                                changed = true;
-                            }
+        loop {
+            let mut changed = false;
+            for j in 0..n {
+                for k in 0..n {
+                    if k == j {
+                        continue;
+                    }
+                    if let Some(ak) = act[k] {
+                        let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
+                        if act[j].is_none_or(|aj| via < aj) {
+                            act[j] = Some(via);
+                            changed = true;
                         }
                     }
                 }
-                if !changed {
-                    break;
-                }
+            }
+            if !changed {
+                break;
             }
         }
 
         // ---- grant horizons, schedule lanes with work ----
         let mut lanes: Vec<RoundEntry> = Vec::new();
         for i in 0..n {
-            let h = match self.mode {
-                LookaheadMode::Global => gvt.saturating_add(self.lmin - 1),
-                LookaheadMode::Matrix => {
-                    // No send any lane can still make, and no send already
-                    // staged, arrives at i by H_i.
-                    let mut bound = self.floors[i];
-                    for (j, aj) in act.iter().enumerate() {
-                        if j == i {
-                            continue;
-                        }
-                        if let Some(aj) = aj {
-                            let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
-                            bound = Some(bound.map_or(arr, |b| b.min(arr)));
-                        }
-                    }
-                    bound.map_or(self.cap, |b| b.saturating_sub(1))
+            // No send any lane can still make, and no send already staged,
+            // arrives at i by H_i.
+            let mut bound = self.floors[i];
+            for (j, aj) in act.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                if let Some(aj) = aj {
+                    let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
+                    bound = Some(bound.map_or(arr, |b| b.min(arr)));
                 }
             }
-            .min(self.cap);
+            let h = bound
+                .map_or(self.cap, |b| b.saturating_sub(1))
+                .min(self.cap);
             debug_assert!(h >= gvt, "horizon below the GVT stalls the round");
             // The lane's next *performable* action (arrival floors are not
             // performable until delivered).
@@ -820,7 +801,6 @@ impl Machine {
         if limit == 0 || self.is_quiescent() {
             return;
         }
-        let mode = self.lookahead_mode;
         // Never run at or past the crash cycle: the crash cycle must be
         // *ticked* (by the serial loop) so the crash-instant state and the
         // hook's durable snapshot are bit-identical to a serial run.
@@ -850,7 +830,6 @@ impl Machine {
         let cat = &self.cat;
         let noc = &mut self.noc;
         let sink = &mut self.trace_sink;
-        let lmin = noc.min_hop_latency();
         // The merger's depth mirror must be captured before `begin_epoch`
         // detaches the delivery queues.
         let mut merger = EpochMerger::new(noc);
@@ -897,7 +876,7 @@ impl Machine {
                 })
             })
             .collect();
-        let mut coord = EpochCoordinator::new(mode, cap, lmin, now0, init);
+        let mut coord = EpochCoordinator::new(cap, now0, init);
 
         let gate = Gate::new(threads);
         let cmd_slot: Mutex<Cmd> = Mutex::new(Cmd::Run);

@@ -44,7 +44,7 @@ impl Record {
     /// The record's address as seen by the timing model — a *virtual*
     /// slot assigned deterministically at creation, not the host heap
     /// location, so model timings are identical across runs and hosts
-    /// (the `servecheck` golden depends on this). Also the global lock
+    /// (the `goldencheck` serve golden depends on this). Also the global lock
     /// order for the commit protocol.
     pub fn addr(&self) -> u64 {
         self.vaddr

@@ -28,7 +28,7 @@
 //! in submission order (worker-major, index-ascending), so a fixed seed
 //! produces a byte-identical `MachineReport` under strict, fast-forward
 //! and epoch-parallel execution at any thread count. The legacy runner
-//! seeds are preserved by the adapters below; `workloadcheck` pins the
+//! seeds are preserved by the adapters below; `goldencheck` pins the
 //! refactor to goldens captured from the pre-ABI hand-rolled loops.
 //!
 //! Every workload also carries a [`SiloWorkload`] twin so BionicDB-vs-Silo
@@ -443,7 +443,7 @@ impl SiloWorkload for TpccSiloMix<'_> {
 // ---------------------------------------------------------------------------
 
 /// The standard workload set at test scale. Harnesses (equivalence tests,
-/// `workloadcheck`) iterate [`StdWorkload::ALL`] instead of hand-wiring
+/// `goldencheck`) iterate [`StdWorkload::ALL`] instead of hand-wiring
 /// each system, so a new workload joins every cross-cutting test by adding
 /// one variant here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

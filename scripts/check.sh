@@ -52,23 +52,8 @@ gate "clippy (deny warnings)" \
 gate "chaos smoke (fixed-seed fault matrix incl. fleet-barrier crash)" \
     cargo run --release --locked -p bionicdb-bench --bin chaos -- --smoke
 
-gate "fleetcheck (2-chip fleet vs in-process: byte-identical reports, shm + socket)" \
-    cargo run --release --locked -p bionicdb-bench --bin fleetcheck
-
-gate "stats smoke (fixed-seed YCSB: determinism, schema, trace inertness)" \
-    cargo run --release --locked -p bionicdb-bench --bin statscheck -- --json target/stats_smoke.json
-
-gate "parcheck (serial vs global/matrix lookahead at 1/2/4 sim threads: byte-identical reports)" \
-    cargo run --release --locked -p bionicdb-bench --bin simperf -- --par --quick --out target/parsim_smoke.json
-
-gate "workloadcheck (driver bit-identity vs pre-refactor goldens + SmallBank ABI smoke)" \
-    cargo run --release --locked -p bionicdb-bench --bin workloadcheck
-
-gate "servecheck (Silo + hardware serving engines vs committed goldens, byte-for-byte)" \
-    cargo run --release --locked -p bionicdb-bench --bin servecheck
-
-gate "batchcheck (batch mode-off bit-inertness + end-to-end smoke + quick-sweep golden)" \
-    cargo run --release --locked -p bionicdb-bench --bin batchcheck
+gate "goldencheck (fixed-seed goldens + strict/fast-forward/threaded/fleet byte-identity, one table of checks)" \
+    cargo run --release --locked -p bionicdb-bench --bin goldencheck
 
 gate "saturate (graceful-degradation claim: controlled >= 85% of peak at 2x, baseline < 50%)" \
     cargo run --release --locked -p bionicdb-bench --bin saturate -- --quick --json BENCH_serve.json

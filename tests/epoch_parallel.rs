@@ -2,8 +2,8 @@
 //!
 //! `Machine::set_sim_threads(n)` with `n > 1` runs each partition worker
 //! (softcore + coprocessor + DRAM bank + partition tables) on its own OS
-//! thread inside epochs bounded by the NoC lookahead
-//! (`Noc::min_hop_latency`). The contract is the same as fast-forward's,
+//! thread inside epochs bounded by the per-pair NoC lookahead
+//! (`Noc::min_latency`). The contract is the same as fast-forward's,
 //! one level stronger: the parallel run must be *bit-for-bit identical* to
 //! strict serial ticking — identical final cycle, identical DRAM image,
 //! identical statistics on every component, and byte-identical
@@ -15,7 +15,7 @@
 //! and compares whole-machine snapshots plus raw report JSON bytes.
 
 use bionicdb::worker::WorkerStats;
-use bionicdb::{BionicConfig, FaultPlan, LookaheadMode, Machine, MachineReport, Topology};
+use bionicdb::{BionicConfig, FaultPlan, Machine, MachineReport, Topology};
 use bionicdb_coproc::CoprocStats;
 use bionicdb_fpga::dram::DramStats;
 use bionicdb_noc::NocStats;
@@ -32,11 +32,8 @@ enum Mode {
     /// Serial fast-forward (PR 1 scheduler).
     Fast,
     /// Epoch-parallel with this many worker threads, per-pair (matrix)
-    /// lookahead — the default scheduler.
+    /// lookahead.
     Par(usize),
-    /// Epoch-parallel with this many worker threads, global-minimum
-    /// lookahead — the PR-4 baseline `parcheck` diffs against.
-    ParGlobal(usize),
 }
 
 fn apply(m: &mut Machine, mode: Mode) {
@@ -46,18 +43,12 @@ fn apply(m: &mut Machine, mode: Mode) {
         Mode::Par(n) => {
             m.set_fast_forward(true);
             m.set_sim_threads(n);
-            m.set_lookahead_mode(LookaheadMode::Matrix);
-        }
-        Mode::ParGlobal(n) => {
-            m.set_fast_forward(true);
-            m.set_sim_threads(n);
-            m.set_lookahead_mode(LookaheadMode::Global);
         }
     }
 }
 
 /// Everything observable about a machine after a run, plus the raw report
-/// JSON bytes (the artifact `scripts/check.sh parcheck` diffs).
+/// JSON bytes (the artifact `simperf --par` diffs).
 #[derive(Debug, PartialEq)]
 struct Snapshot {
     now: u64,
@@ -434,11 +425,10 @@ fn std_workloads_parallel_equivalence() {
     }
 }
 
-/// Every workload × Ring and MultiChip topologies × matrix and global
-/// lookahead × 1/2/4 threads — all byte-identical to strict serial. This
-/// is the sweep the per-pair lookahead matrix must survive: Ring gives
-/// every pair a different latency, MultiChip makes near and far pairs
-/// differ by 25×.
+/// Every workload × Ring and MultiChip topologies × 1/2/4 threads — all
+/// byte-identical to strict serial. This is the sweep the per-pair
+/// lookahead matrix must survive: Ring gives every pair a different
+/// latency, MultiChip makes near and far pairs differ by 25×.
 #[test]
 fn std_workloads_topology_lookahead_sweep() {
     let topologies = [
@@ -462,13 +452,7 @@ fn std_workloads_topology_lookahead_sweep() {
             };
             let strict = run(Mode::Strict);
             assert!(strict.machine.committed > 0, "{w:?}: workload must commit");
-            for mode in [
-                Mode::Par(1),
-                Mode::Par(2),
-                Mode::Par(4),
-                Mode::ParGlobal(2),
-                Mode::ParGlobal(4),
-            ] {
+            for mode in [Mode::Par(1), Mode::Par(2), Mode::Par(4)] {
                 assert_identical(&strict, &run(mode), &format!("{w:?} {topo:?} [{mode:?}]"));
             }
         }
@@ -534,12 +518,12 @@ fn lane_activity_populated_and_bit_inert() {
 /// The point of the lookahead matrix: five workers on three chips
 /// ({0,1}, {2,3}, {4}), with worker 4 alone on its chip grinding a long
 /// local-only backlog while the four peers retire two local reads each
-/// and go idle. The global horizon is the cheapest pair anywhere — the
-/// 3-cycle same-chip links on the full chips — so it barrier-steps the
-/// hot lane every `Lmin` cycles forever. The per-pair matrix knows the
-/// only way worker 4 can be affected is its own traffic bouncing off a
-/// remote chip (a 150-cycle round trip), so its epochs run ~50× longer:
-/// same bytes out, at least 5× fewer rounds.
+/// and go idle. A single global horizon is the cheapest pair anywhere —
+/// the 3-cycle same-chip links on the full chips — so it would
+/// barrier-step the hot lane every `Lmin` cycles forever. The per-pair
+/// matrix knows the only way worker 4 can be affected is its own traffic
+/// bouncing off a remote chip (a 150-cycle round trip), so its epochs run
+/// ~50× longer: same bytes out, at least 5× fewer rounds.
 #[test]
 fn matrix_lookahead_reduces_rounds_on_multichip() {
     let cfg = BionicConfig {
@@ -577,28 +561,31 @@ fn matrix_lookahead_reduces_rounds_on_multichip() {
         (snapshot(&y.machine), y.machine.epoch_rounds())
     };
     let (matrix, matrix_rounds) = run(Mode::Par(2));
-    let (global, global_rounds) = run(Mode::ParGlobal(2));
-    assert_identical(&matrix, &global, "matrix vs global lookahead");
+    let (serial, _) = run(Mode::Fast);
+    assert_identical(&serial, &matrix, "matrix lookahead vs serial");
+    // 10,077: the rounds this exact scenario took under the retired
+    // global-minimum horizon (`GVT + Lmin - 1` for every lane), measured
+    // by this test on the last build that still had that mode, against
+    // 620 for the matrix.
     assert!(
-        matrix_rounds * 5 <= global_rounds,
-        "per-pair lookahead should cut the barrier count at least 5x \
-         (matrix={matrix_rounds}, global={global_rounds})"
+        matrix_rounds * 5 <= 10_077,
+        "per-pair lookahead should need at least 5x fewer barriers than the \
+         recorded global horizon (matrix={matrix_rounds}, global=10077)"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any workload family, any topology, any per-worker wave size, either
-    /// lookahead mode: serial and epoch-parallel runs through the generic
-    /// driver stay byte-identical.
+    /// Any workload family, any topology, any per-worker wave size: serial
+    /// and epoch-parallel runs through the generic driver stay
+    /// byte-identical.
     #[test]
     fn arbitrary_std_workload_waves_byte_identical(
         which in 0usize..StdWorkload::ALL.len(),
         topo in 0usize..3,
         txns in 1usize..10,
         threads in 1usize..5,
-        global in any::<bool>(),
     ) {
         let w = StdWorkload::ALL[which];
         let topology = [
@@ -614,7 +601,7 @@ proptest! {
             snapshot(wl.machine_ref())
         };
         let serial = run(Mode::Fast);
-        let mode = if global { Mode::ParGlobal(threads) } else { Mode::Par(threads) };
+        let mode = Mode::Par(threads);
         let par = run(mode);
         prop_assert_eq!(&serial.now, &par.now, "cycle counts diverge [{:?} {:?}]", w, mode);
         prop_assert_eq!(&serial.json, &par.json, "report JSON diverges [{:?} {:?}]", w, mode);
