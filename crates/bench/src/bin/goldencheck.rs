@@ -3,7 +3,7 @@
 //!
 //! | check      | golden file             | also asserts |
 //! |------------|-------------------------|--------------|
-//! | `fleet`    | —                       | 2-chip fleet (shm and socket) ≡ in-process report, YCSB and SmallBank |
+//! | `fleet`    | —                       | 2-chip fleet ≡ in-process report: YCSB and SmallBank preloaded, YCSB streamed |
 //! | `workload` | `workload_goldens.json` | SmallBank strict ≡ fast-forward ≡ epoch-parallel ≡ rerun; chaos crash recovery and NoC drops |
 //! | `serve`    | `serve_golden.json`     | Silo serving matrix ≡ its rerun; rows are valid JSON |
 //! | `serve_hw` | `serve_hw_golden.json`  | hardware serving matrix ≡ its rerun; rows are valid JSON; ledgers conserved |
@@ -356,7 +356,7 @@ fn batch() -> Outcome {
     same("Off report at width 32 vs 8", &stock, &wide)?;
     ensure(!stock.contains("\"mlp\""), "Off report carries no MLP")?;
 
-    let (c_batched, batched) = batch_report(BatchMode::TxnLocal, 8);
+    let (c_batched, batched) = batch_report(BatchMode::CrossTxn, 8);
     ensure(c_batched > 0, "batched workload commits work")?;
     ensure(batched.contains("\"mlp\""), "batched report carries MLP")?;
     ensure(
@@ -370,24 +370,18 @@ fn batch() -> Outcome {
 // fleet: forked chip processes vs in-process, byte for byte
 // ---------------------------------------------------------------------------
 
-/// Arm a freshly built 4-worker machine: `None` runs it in-process on 2
-/// sim threads, `Some(transport)` as a 2-chip fleet over that transport
-/// (`BIONICDB_FLEET_TRANSPORT` is read at spawn time).
-fn arm(m: &mut Machine, fleet: Option<&str>) {
-    match fleet {
-        None => {
-            std::env::remove_var("BIONICDB_FLEET_TRANSPORT");
-            m.set_sim_threads(2);
-        }
-        Some(transport) => {
-            std::env::set_var("BIONICDB_FLEET_TRANSPORT", transport);
-            m.set_fleet_chips(2);
-        }
+/// Arm a freshly built 4-worker machine: in-process on 2 sim threads, or
+/// as a 2-chip fleet.
+fn arm(m: &mut Machine, fleet: bool) {
+    if fleet {
+        m.set_fleet_chips(2);
+    } else {
+        m.set_sim_threads(2);
     }
 }
 
-/// One fixed-seed multisite YCSB-C run; returns the full report JSON.
-fn fleet_ycsb(fleet: Option<&str>) -> String {
+/// A fixed-seed 4-worker multisite YCSB-C machine, armed.
+fn fleet_ycsb_machine(fleet: bool) -> YcsbBionic {
     let cfg = BionicConfig {
         mode: ExecMode::Interleaved,
         ..BionicConfig::small(4)
@@ -400,13 +394,40 @@ fn fleet_ycsb(fleet: Option<&str>) -> String {
     };
     let mut y = YcsbBionic::build(cfg, spec, 8);
     arm(&mut y.machine, fleet);
+    y
+}
+
+/// One fixed-seed multisite YCSB-C run; returns the full report JSON.
+fn fleet_ycsb(fleet: bool) -> String {
+    let mut y = fleet_ycsb_machine(fleet);
     let kind = YcsbKind::ReadHomed;
     drive(&mut YcsbWorkload { sys: &mut y, kind }, 24);
     y.machine.report().to_json()
 }
 
+/// The same machine fed by streaming arrivals: one transaction every 97
+/// cycles, round-robin over the workers, each entering at the cycle
+/// `step_until` landed on (`submit_txn` enters through `Machine::submit`,
+/// the call `inject_txn` aliases), then a drain to quiescence and an idle
+/// step. Returns the full report JSON.
+fn fleet_ycsb_streamed(fleet: bool) -> String {
+    let mut y = fleet_ycsb_machine(fleet);
+    let mut rng = YcsbBionic::rng(7);
+    let size = y.block_size(YcsbKind::ReadHomed);
+    for k in 0..48u64 {
+        y.machine.step_until(k * 97);
+        let worker = k as usize % 4;
+        let blk = y.machine.alloc_block(worker, size);
+        y.submit_txn(worker, blk, YcsbKind::ReadHomed, &mut rng);
+    }
+    y.machine.run_to_quiescence();
+    let idle_until = y.machine.now() + 1_000;
+    y.machine.step_until(idle_until);
+    y.machine.report().to_json()
+}
+
 /// One fixed-seed SmallBank run; returns the full report JSON.
-fn fleet_smallbank(fleet: Option<&str>) -> String {
+fn fleet_smallbank(fleet: bool) -> String {
     let cfg = BionicConfig {
         mode: ExecMode::Interleaved,
         max_batch: 2,
@@ -423,19 +444,20 @@ fn fleet_smallbank(fleet: Option<&str>) -> String {
 }
 
 /// Splitting a machine across chip processes changes nothing observable:
-/// for both workloads, a 2-chip fleet over shared-memory rings and over
-/// the socket transport must each produce the in-process report byte for
-/// byte.
+/// for every run, a 2-chip fleet must produce the in-process report byte
+/// for byte.
 fn fleet() -> Outcome {
-    type Run = fn(Option<&str>) -> String;
-    for (name, run) in [("ycsb", fleet_ycsb as Run), ("smallbank", fleet_smallbank)] {
-        let reference = run(None);
-        for transport in ["shm", "socket"] {
-            let what = format!("{name} fleet/{transport} report vs in-process");
-            same(&what, &reference, &run(Some(transport)))?;
-        }
+    type Run = fn(bool) -> String;
+    for (name, run) in [
+        ("ycsb", fleet_ycsb as Run),
+        ("ycsb streamed", fleet_ycsb_streamed),
+        ("smallbank", fleet_smallbank),
+    ] {
+        let what = format!("{name} fleet report vs in-process");
+        let reference = run(false);
+        ensure(!reference.contains("\"committed\":0,"), "the fleet runs commit work")?;
+        same(&what, &reference, &run(true))?;
     }
-    std::env::remove_var("BIONICDB_FLEET_TRANSPORT");
     Ok(String::new())
 }
 

@@ -223,7 +223,7 @@ proptest! {
             &build_keys,
             &commit_mask,
             &probes,
-            BatchMode::TxnLocal,
+            BatchMode::CrossTxn,
             width,
         );
     }
@@ -253,7 +253,7 @@ fn mode_off_ignores_batch_tags() {
 /// A trickle narrower than the batch width still completes (age flush).
 #[test]
 fn undersized_batch_flushes_by_age() {
-    let mut rig = Rig::new(BatchMode::TxnLocal, 16);
+    let mut rig = Rig::new(BatchMode::CrossTxn, 16);
     rig.build(1, &[5, 9], &[true, true]);
     let r = rig.req(DbOp::Search, 1, 5, 100, 0, GROUP);
     rig.coproc.input.push(r).expect("space");

@@ -244,7 +244,8 @@ pub struct LaneActivity {
     /// Wall-clock nanoseconds between this lane finishing its round and
     /// the round's barrier releasing — the skew the work-stealing
     /// scheduler exists to shrink. Wall-clock, hence nondeterministic;
-    /// everything the machine observes stays bit-exact regardless.
+    /// everything the machine observes stays bit-exact regardless. Not
+    /// measured across processes: always 0 in fleet mode.
     pub barrier_idle_ns: u64,
     /// Distribution of this lane's epoch lengths (cycles between its
     /// round-entry position and the horizon it was released to).
@@ -260,6 +261,15 @@ impl LaneActivity {
             barrier_idle_ns: 0,
             epoch_len: bionicdb_fpga::obs::LatencyHistogram::new(),
         }
+    }
+
+    /// Add one phase's activity to these totals.
+    pub(crate) fn absorb(&mut self, phase: &LaneActivity) {
+        self.ticks += phase.ticks;
+        self.skips += phase.skips;
+        self.rounds += phase.rounds;
+        self.barrier_idle_ns += phase.barrier_idle_ns;
+        self.epoch_len.merge(&phase.epoch_len);
     }
 }
 
@@ -287,12 +297,12 @@ pub struct Machine {
     ticks_executed: u64,
     /// Host-side instrumentation for the epoch-parallel scheduler: per
     /// lane (worker), the component ticks executed and the cycles skipped
-    /// across all `run_epochs` rounds. Like [`Machine::ticks_executed`] it
+    /// across all epoch phases. Like [`Machine::ticks_executed`] it
     /// measures the simulator, not the machine — it stays out of
     /// [`MachineStats`] and the report, and is only surfaced by tooling
     /// (`simperf --par`).
     lane_activity: Vec<LaneActivity>,
-    /// Epoch-round barriers executed by `run_epochs` (across all calls) —
+    /// Epoch-round barriers executed by the lane engine (across all calls) —
     /// the denominator of the lookahead study: fewer rounds for the same
     /// simulated span means longer epochs and less synchronization.
     /// Simulator instrumentation, like `ticks_executed`.
@@ -370,8 +380,8 @@ impl Machine {
     pub fn submit(&mut self, worker: usize, blk: TxnBlock) {
         if let Some(f) = &mut self.fleet {
             // The live worker lives in a chip process: queue the submit for
-            // relay with the next run's Sync, stamped with *this* cycle so
-            // queue-wait latency is unchanged.
+            // relay with the next phase's opening frame, stamped with
+            // *this* cycle so queue-wait latency is unchanged.
             f.pending_submits.push((worker, blk.addr(), self.now));
             return;
         }
@@ -546,17 +556,6 @@ impl Machine {
     /// Run until quiescent, panicking after `limit` additional cycles.
     /// Returns early (without quiescing) if the machine crashes.
     pub fn run_to_quiescence_limit(&mut self, limit: u64) -> u64 {
-        // Fleet mode: with chip processes requested (or already spawned),
-        // the whole run is one coordinator/chip message exchange —
-        // bit-exact with the engines below (see `machine/fleet.rs`). A
-        // crashed fleet machine falls through: the serial loop breaks
-        // immediately without ticking.
-        if (self.fleet_chips > 1 || self.fleet.is_some())
-            && self.workers.len() > 1
-            && !self.crashed
-        {
-            return self.run_fleet_to_quiescence(limit);
-        }
         self.advance(limit, true)
     }
 
@@ -583,28 +582,22 @@ impl Machine {
     /// arrival), and the machine executes work *and* absorbs new input at
     /// arbitrary simulated cycles.
     ///
-    /// Composes with both accelerated schedulers:
+    /// Works in every placement:
     /// - **fast-forward** skips provably-idle spans exactly as in
     ///   `run_to_quiescence_limit`, additionally clamping every skip to
     ///   `target` so the clock lands on it precisely;
-    /// - **epoch-parallel** (`sim_threads > 1`) runs the bulk of the span
-    ///   via `run_epochs` with the event cap at `target - 1`, then the
-    ///   serial loop ticks the final stretch onto `target`. Byte-identity
-    ///   holds because injected input is only visible between calls — the
-    ///   event horizon within a call is fixed, the same closed-world
-    ///   assumption `run_to_quiescence` makes (DESIGN.md §17).
+    /// - **epoch-parallel** (`sim_threads > 1`) and **fleet** runs are one
+    ///   epoch phase with its cap at `target`, finishing every lane there.
+    ///   Byte-identity holds because injected input is only visible
+    ///   between calls — the event horizon within a call is fixed, the
+    ///   same closed-world assumption `run_to_quiescence` makes (DESIGN.md
+    ///   §17). In a fleet, injections queued since the last call travel to
+    ///   the chips with the phase's opening frame.
     ///
-    /// A scheduled crash inside the span is honored: the crash cycle is
-    /// ticked (never skipped), the machine freezes there, and the call
-    /// returns early. Unavailable in fleet mode (the live workers are in
-    /// chip processes; streaming injection would need per-arrival IPC).
-    /// Returns the cycles actually advanced.
+    /// A scheduled crash inside the span is honored: the machine freezes
+    /// at the crash cycle with exactly the state serial ticking reaches,
+    /// and the call returns early. Returns the cycles actually advanced.
     pub fn step_until(&mut self, target: u64) -> u64 {
-        assert!(
-            self.fleet_chips <= 1 && self.fleet.is_none(),
-            "step_until is unavailable in fleet mode (workers live in chip \
-             processes); stream into an in-process machine instead"
-        );
         if target <= self.now {
             return 0;
         }
@@ -617,16 +610,17 @@ impl Machine {
     /// or not). Either way it stops early once the machine crashes, and
     /// returns the cycles advanced.
     ///
-    /// With more than one sim thread, an epoch-parallel phase first runs
-    /// every event before `now + limit` on real threads (bit-exact with
-    /// the serial loop — see `par`); the serial loop then handles the
-    /// uniform exit conditions and, for a timed run, ticks the final
-    /// stretch onto the target (events *at* the target belong to the tick
-    /// that lands there, which stays serial).
+    /// With more than one sim thread or fleet chip, the whole call is one
+    /// epoch phase on the lane engine (bit-exact with the serial loop
+    /// below — see `par`); otherwise the serial fast-forward loop runs it.
     fn advance(&mut self, limit: u64, quiesce: bool) -> u64 {
         let start = self.now;
-        if self.fast_forward && self.sim_threads > 1 && self.workers.len() > 1 && !self.crashed {
-            self.run_epochs(start, limit);
+        if self.crashed || (quiesce && self.is_quiescent()) {
+            return 0;
+        }
+        let fleet = self.fleet_chips > 1 || self.fleet.is_some();
+        if self.workers.len() > 1 && (fleet || (self.fast_forward && self.sim_threads > 1)) {
+            return self.run_lanes(limit, quiesce);
         }
         let target = if quiesce { u64::MAX } else { start + limit };
         loop {
@@ -881,15 +875,6 @@ impl Machine {
             .collect()
     }
 
-    /// Blocks waiting unstarted in `worker`'s softcore input queue. Lets
-    /// the serving front end observe how streamed injections distribute
-    /// across partitions (in-process modes only; fleet workers live in
-    /// chip processes, and streaming injection is unavailable there).
-    pub fn worker_input_backlog(&self, worker: usize) -> usize {
-        assert!(self.fleet.is_none(), "backlog lives in the chip processes");
-        self.workers[worker].input_backlog()
-    }
-
     /// The earliest pending DRAM completion across every worker's bank
     /// (`None` when all memory channels are drained). The host view never
     /// carries timed traffic, so it is not consulted.
@@ -913,9 +898,9 @@ impl Machine {
         self.sim_threads
     }
 
-    /// Request fleet-mode simulation: `run_to_quiescence` forks `n` chip
-    /// processes (lazily, at its first call) and coordinates them over the
-    /// fleet transport — bit-for-bit identical to the in-process engines
+    /// Request fleet-mode simulation: the first `run_to_quiescence` or
+    /// `step_until` call forks `n` chip processes and coordinates them
+    /// over shared-memory rings — bit-for-bit identical to the in-process engines
     /// (enforced by `goldencheck`). `0` or `1` disables fleet mode. Must be
     /// called from a single-threaded process (forking), and before the
     /// first fleet run; machine configuration (fault plans, trace sinks,

@@ -1,41 +1,41 @@
 //! Fleet-mode simulation: the epoch barrier as a message exchange between
 //! OS processes.
 //!
-//! The in-process engine (`machine/par.rs`) splits the machine into
-//! shared-nothing worker lanes and coordinates them with an
-//! [`EpochCoordinator`] over a thread barrier. This module runs the *same*
-//! coordinator over **chip processes**: `Machine::set_fleet_chips(N)` makes
-//! the next `run_to_quiescence` call fork N child processes, each owning a
-//! contiguous slice of the workers (its partition workers, their
-//! [`Dram::bank`] banks, and their table state, all inherited
-//! copy-on-write), while the parent keeps the coordinator role: the NoC,
-//! the [`EpochMerger`], the host DRAM view, and the trace sink.
+//! The lane engine (`machine/par.rs`) splits the machine into
+//! shared-nothing worker lanes and drives them with one
+//! [`EpochCoordinator`] loop over a [`Placement`]. This module is the
+//! second placement: **chip processes**. `Machine::set_fleet_chips(N)`
+//! makes the next `run_to_quiescence` or `step_until` call fork N child
+//! processes, each owning a contiguous slice of the workers (its partition
+//! workers, their [`Dram::bank`] banks, and their table state, all
+//! inherited copy-on-write), while the parent keeps the coordinator role:
+//! the NoC, the [`EpochMerger`], the host DRAM view, and the trace sink.
 //!
 //! # Protocol
 //!
-//! One run is one `Sync` handshake followed by one epoch *phase*:
+//! One run is one epoch *phase*:
 //!
 //! ```text
-//! coord -> chip  Sync     host write journal + queued submits + table brks
-//! chip  -> coord SyncAck  per-lane next-event/quiescence snapshot
-//! coord -> chip  Phase    the chip's detached EpochLinks
+//! coord -> chip  Phase    start cycle + host write journal + queued submits
+//!                         + table brks + tracing flag + the chip's EpochLinks
+//! chip  -> coord Ready    per-lane entry snapshot, taken on the real lanes
 //! coord -> chip  Round    per-lane horizons + routed deliveries + journal
-//! chip  -> coord RoundOut per-lane exit hints + staged traffic + trace
+//! chip  -> coord RoundOut per-lane reports + staged traffic + trace + journal
 //! ...            (Round/RoundOut repeats, driven by the EpochCoordinator)
-//! coord -> chip  Finish   common top-up cycle
+//! coord -> chip  Finish   common exit cycle
 //! chip  -> coord PhaseEnd links + stats slices + lane activity
 //! ```
 //!
-//! Everything crossing the boundary uses the [`Wire`] codec; the transport
-//! is either a pair of shared-memory SPSC rings per chip (default) or a
-//! Unix socket pair (`BIONICDB_FLEET_TRANSPORT=socket`).
+//! Everything crossing the boundary uses the [`Wire`] codec over a pair of
+//! shared-memory SPSC rings per chip.
 //!
 //! # Bit-identity argument
 //!
-//! The scheduling brain is literally shared: both engines drive
-//! [`EpochCoordinator::next_step`], and a chip executes a scheduled lane
-//! with the same `run_round`/`finish_lane` the in-process threads use. The
-//! remaining differences are plumbing, each preserved exactly:
+//! The engine is literally shared: the coordinator runs the same
+//! [`drive`] loop as the threaded placement, and a chip executes a
+//! scheduled lane with the same `step_lane`/`finish_lane` the in-process
+//! threads use. The remaining differences are plumbing, each preserved
+//! exactly:
 //!
 //! * **Functional memory.** Every functional write funnels through
 //!   [`Dram::host_write`], so an armed write journal captures the complete
@@ -45,7 +45,7 @@
 //!   hook's durable snapshot current) and relays them to the *other*
 //!   chips with the next message they receive. Host-side writes between
 //!   runs (loaders, block population, `resubmit`'s status reset) journal
-//!   on the coordinator and replay to every chip at the next `Sync`.
+//!   on the coordinator and replay to every chip at the next `Phase`.
 //!   Relayed application order is deterministic (chip order within a
 //!   round), and no two processes ever race on the same byte within a
 //!   round: cross-worker accesses to the same data are separated by at
@@ -59,18 +59,13 @@
 //!   coordinator keeps a [`WorkerSlice`] cache per worker, refreshed from
 //!   each `PhaseEnd`, and the `Machine` accessors consult it in fleet
 //!   mode. Table heap brks travel both ways (chip allocations at
-//!   `PhaseEnd`, host loader allocations at `Sync`) so address allocation
+//!   `PhaseEnd`, host loader allocations at `Phase`) so address allocation
 //!   never diverges.
-//! * **The serial mop-up.** `run_to_quiescence_limit`'s serial loop allows
-//!   exactly one fast-forward step past the epoch cap and ticks the crash
-//!   cycle itself; [`Machine::run_fleet_to_quiescence`] mirrors both by
-//!   extending the coordinator's cap once (running the post-cap cycle as
-//!   one more round) and by finishing every lane *through* the crash
-//!   cycle before latching the crash.
 //!
 //! `goldencheck`'s `fleet` check asserts the contract end to end:
 //! full `MachineReport` JSON from a fleet run diffs byte-for-byte against
-//! the in-process engine on fixed seeds.
+//! the in-process engine on fixed seeds, for preloaded and for streamed
+//! (`inject_txn` + `step_until`) runs.
 //!
 //! # Process-model caveats
 //!
@@ -83,24 +78,22 @@
 //! a hung-protocol panic rather than silent divergence), and are reaped by
 //! [`Fleet`]'s `Drop`.
 
-use std::io::{Read as _, Write as _};
 use std::ops::Range;
-use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bionicdb_fpga::dram::WriteJournal;
-use bionicdb_fpga::obs::LatencyHistogram;
 use bionicdb_fpga::stats::StageStats;
 use bionicdb_fpga::wire::{decode, encode, Reader, Wire};
-use bionicdb_fpga::{DramStats, PortStats, TxnEvent};
-use bionicdb_noc::{EpochLink, EpochMerger, StagedBatch};
+use bionicdb_fpga::{Dram, DramStats, PortStats};
+use bionicdb_noc::{EpochLink, EpochMerger};
 use bionicdb_softcore::core::SoftcoreObs;
 use bionicdb_softcore::SoftcoreStats;
 
 use super::par::{
-    finish_lane, merge_traces, run_round, EpochCoordinator, Lane, LaneOut, RoundEntry, Step,
+    drive, finish_lane, step_lane, Drive, EpochCoordinator, Lane, LaneOut, Placement,
+    RoundEntry, RoundNode, Stop,
 };
-use super::Machine;
+use super::{LaneActivity, Machine};
 use crate::worker::WorkerStats;
 
 // ---------------------------------------------------------------------------
@@ -328,107 +321,53 @@ mod shm {
 }
 
 // ---------------------------------------------------------------------------
-// channel: length-prefixed frames over rings or a socket pair
+// channel: length-prefixed frames over a ring pair
 
-/// One end of a coordinator<->chip channel. Frames are `u32` (LE) length
+/// One end of a coordinator<->chip channel: two SPSC rings, one per
+/// direction, in pre-fork shared mappings. Frames are `u32` (LE) length
 /// prefixed [`Wire`] messages.
-enum Chan {
-    /// Two SPSC rings (one per direction) in pre-fork shared mappings.
-    Shm { tx: shm::Ring, rx: shm::Ring },
-    /// A `socketpair(2)` stream — the fallback transport, selected with
-    /// `BIONICDB_FLEET_TRANSPORT=socket`.
-    Socket(UnixStream),
+struct Chan {
+    tx: shm::Ring,
+    rx: shm::Ring,
 }
 
 impl Chan {
     /// Build a connected (coordinator, chip) pair. Must be called before
-    /// `fork` so both processes share the underlying transport.
+    /// `fork` so both processes share the underlying mappings.
     fn pair() -> (Chan, Chan) {
-        match std::env::var("BIONICDB_FLEET_TRANSPORT").as_deref() {
-            Ok("socket") => {
-                let (a, b) = UnixStream::pair().expect("socketpair for fleet transport");
-                (Chan::Socket(a), Chan::Socket(b))
-            }
-            Ok("shm") | Err(_) => {
-                let ab = shm::Ring::alloc();
-                let ba = shm::Ring::alloc();
-                (Chan::Shm { tx: ab, rx: ba }, Chan::Shm { tx: ba, rx: ab })
-            }
-            Ok(other) => panic!("unknown BIONICDB_FLEET_TRANSPORT {other:?} (shm|socket)"),
-        }
+        let ab = shm::Ring::alloc();
+        let ba = shm::Ring::alloc();
+        (Chan { tx: ab, rx: ba }, Chan { tx: ba, rx: ab })
     }
 
     /// Send one frame, blocking until fully written.
     fn send(&mut self, msg: &[u8]) {
         let len = u32::try_from(msg.len()).expect("fleet message fits in u32");
-        match self {
-            Chan::Shm { tx, .. } => {
-                tx.push(&len.to_le_bytes());
-                tx.push(msg);
-            }
-            Chan::Socket(s) => {
-                s.write_all(&len.to_le_bytes()).expect("fleet socket send");
-                s.write_all(msg).expect("fleet socket send");
-            }
-        }
+        self.tx.push(&len.to_le_bytes());
+        self.tx.push(msg);
     }
 
     /// Receive one frame, blocking until fully read.
     fn recv(&mut self) -> Vec<u8> {
         let mut hdr = [0u8; 4];
-        match self {
-            Chan::Shm { rx, .. } => {
-                rx.pop_into(&mut hdr);
-                let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
-                rx.pop_into(&mut buf);
-                buf
-            }
-            Chan::Socket(s) => {
-                s.read_exact(&mut hdr).expect("fleet socket recv");
-                let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
-                s.read_exact(&mut buf).expect("fleet socket recv");
-                buf
-            }
-        }
+        self.rx.pop_into(&mut hdr);
+        let mut buf = vec![0u8; u32::from_le_bytes(hdr) as usize];
+        self.rx.pop_into(&mut buf);
+        buf
     }
 
     /// Best-effort send for shutdown paths: never blocks indefinitely,
     /// never panics. Returns false when the frame could not be delivered.
     fn send_best_effort(&mut self, msg: &[u8]) -> bool {
-        let len = (msg.len() as u32).to_le_bytes();
-        match self {
-            Chan::Shm { tx, .. } => {
-                let mut frame = Vec::with_capacity(4 + msg.len());
-                frame.extend_from_slice(&len);
-                frame.extend_from_slice(msg);
-                tx.try_push(&frame, 10_000)
-            }
-            Chan::Socket(s) => s.write_all(&len).is_ok() && s.write_all(msg).is_ok(),
-        }
+        let mut frame = Vec::with_capacity(4 + msg.len());
+        frame.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+        frame.extend_from_slice(msg);
+        self.tx.try_push(&frame, 10_000)
     }
 }
 
 // ---------------------------------------------------------------------------
 // protocol messages
-
-/// One lane's snapshot in a `SyncAck`: everything `lane_next` needs,
-/// evaluated chip-side at the sync cycle.
-struct LaneSync {
-    worker_next: Option<u64>,
-    bank_next: Option<u64>,
-    buffered: bool,
-    quiescent: bool,
-}
-
-/// One lane's activity counters for a finished phase (the fleet-side
-/// [`super::LaneActivity`] increment; barrier idle time is not measured
-/// across processes and stays 0).
-struct LaneWork {
-    ticks: u64,
-    skips: u64,
-    rounds: u64,
-    epoch_len: LatencyHistogram,
-}
 
 /// Coordinator-side cache of one worker's observable state, refreshed from
 /// every `PhaseEnd`. `Machine` accessors (stats, reports, quiescence)
@@ -450,19 +389,15 @@ pub(crate) struct WorkerSlice {
 
 /// Coordinator -> chip.
 enum ToChip {
-    /// Start-of-run handshake: the run's start cycle, every host write
-    /// since the last exchange, queued client submits for this chip's
-    /// workers (`(worker, block_addr, submitted_at)`), and the
-    /// coordinator-side table brks per owned worker.
-    Sync {
+    /// Open a phase at cycle `now`: every host write since the last
+    /// exchange, queued client submits for this chip's workers
+    /// (`(worker, block_addr, submitted_at)`), the coordinator-side table
+    /// brks per owned worker, and the chip's slice of the detached links.
+    Phase {
         now: u64,
         journal: WriteJournal,
         submits: Vec<(usize, u64, u64)>,
         brks: Vec<Vec<u64>>,
-    },
-    /// Open an epoch phase: the chip's lane slice of the detached links.
-    Phase {
-        now0: u64,
         tracing: bool,
         links: Vec<EpochLink>,
     },
@@ -472,7 +407,7 @@ enum ToChip {
         entries: Vec<RoundEntry>,
         journal: WriteJournal,
     },
-    /// Close the phase: top every lane up to `to`.
+    /// Close the phase: finish every lane at `to`.
     Finish { to: u64, expect_idle: bool },
     /// Terminate the chip process.
     Shutdown,
@@ -480,54 +415,36 @@ enum ToChip {
 
 /// Chip -> coordinator.
 enum ToCoord {
-    SyncAck {
-        lanes: Vec<LaneSync>,
-    },
-    /// One round's results: per scheduled lane the barrier scalars, plus
-    /// the chip's merged traffic, trace slice, and bank write journal.
+    /// The phase-entry snapshot of every owned lane.
+    Ready { lanes: Vec<LaneOut> },
+    /// One round's results: per scheduled lane its report, plus the chip's
+    /// merged traffic and trace and its bank write journal.
     RoundOut {
         outs: Vec<(usize, LaneOut)>,
-        batch: StagedBatch,
-        trace: Vec<(u64, u32, TxnEvent)>,
+        node: RoundNode,
         journal: WriteJournal,
     },
     PhaseEnd {
         links: Vec<EpochLink>,
         slices: Vec<WorkerSlice>,
-        activity: Vec<LaneWork>,
-        ticks: u64,
+        activity: Vec<LaneActivity>,
     },
 }
 
-impl Wire for LaneSync {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.worker_next.put(out);
-        self.bank_next.put(out);
-        self.buffered.put(out);
-        self.quiescent.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        LaneSync {
-            worker_next: r.get(),
-            bank_next: r.get(),
-            buffered: r.get(),
-            quiescent: r.get(),
-        }
-    }
-}
-
-impl Wire for LaneWork {
+impl Wire for LaneActivity {
     fn put(&self, out: &mut Vec<u8>) {
         self.ticks.put(out);
         self.skips.put(out);
         self.rounds.put(out);
+        self.barrier_idle_ns.put(out);
         self.epoch_len.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Self {
-        LaneWork {
+        LaneActivity {
             ticks: r.get(),
             skips: r.get(),
             rounds: r.get(),
+            barrier_idle_ns: r.get(),
             epoch_len: r.get(),
         }
     }
@@ -546,6 +463,19 @@ impl Wire for LaneOut {
             pos: r.get(),
             quiescent: r.get(),
             drained: r.get(),
+        }
+    }
+}
+
+impl Wire for RoundNode {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.batch.put(out);
+        self.trace.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Self {
+        RoundNode {
+            batch: r.get(),
+            trace: r.get(),
         }
     }
 }
@@ -603,63 +533,54 @@ impl Wire for WorkerSlice {
 impl Wire for ToChip {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
-            ToChip::Sync {
+            ToChip::Phase {
                 now,
                 journal,
                 submits,
                 brks,
+                tracing,
+                links,
             } => {
                 0u8.put(out);
                 now.put(out);
                 journal.put(out);
                 submits.put(out);
                 brks.put(out);
-            }
-            ToChip::Phase {
-                now0,
-                tracing,
-                links,
-            } => {
-                1u8.put(out);
-                now0.put(out);
                 tracing.put(out);
                 links.put(out);
             }
             ToChip::Round { entries, journal } => {
-                2u8.put(out);
+                1u8.put(out);
                 entries.put(out);
                 journal.put(out);
             }
             ToChip::Finish { to, expect_idle } => {
-                3u8.put(out);
+                2u8.put(out);
                 to.put(out);
                 expect_idle.put(out);
             }
-            ToChip::Shutdown => 4u8.put(out),
+            ToChip::Shutdown => 3u8.put(out),
         }
     }
     fn get(r: &mut Reader<'_>) -> Self {
         match u8::get(r) {
-            0 => ToChip::Sync {
+            0 => ToChip::Phase {
                 now: r.get(),
                 journal: r.get(),
                 submits: r.get(),
                 brks: r.get(),
-            },
-            1 => ToChip::Phase {
-                now0: r.get(),
                 tracing: r.get(),
                 links: r.get(),
             },
-            2 => ToChip::Round {
+            1 => ToChip::Round {
                 entries: r.get(),
                 journal: r.get(),
             },
-            3 => ToChip::Finish {
+            2 => ToChip::Finish {
                 to: r.get(),
                 expect_idle: r.get(),
             },
-            4 => ToChip::Shutdown,
+            3 => ToChip::Shutdown,
             t => panic!("bad ToChip tag {t}"),
         }
     }
@@ -668,50 +589,44 @@ impl Wire for ToChip {
 impl Wire for ToCoord {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
-            ToCoord::SyncAck { lanes } => {
+            ToCoord::Ready { lanes } => {
                 0u8.put(out);
                 lanes.put(out);
             }
             ToCoord::RoundOut {
                 outs,
-                batch,
-                trace,
+                node,
                 journal,
             } => {
                 1u8.put(out);
                 outs.put(out);
-                batch.put(out);
-                trace.put(out);
+                node.put(out);
                 journal.put(out);
             }
             ToCoord::PhaseEnd {
                 links,
                 slices,
                 activity,
-                ticks,
             } => {
                 2u8.put(out);
                 links.put(out);
                 slices.put(out);
                 activity.put(out);
-                ticks.put(out);
             }
         }
     }
     fn get(r: &mut Reader<'_>) -> Self {
         match u8::get(r) {
-            0 => ToCoord::SyncAck { lanes: r.get() },
+            0 => ToCoord::Ready { lanes: r.get() },
             1 => ToCoord::RoundOut {
                 outs: r.get(),
-                batch: r.get(),
-                trace: r.get(),
+                node: r.get(),
                 journal: r.get(),
             },
             2 => ToCoord::PhaseEnd {
                 links: r.get(),
                 slices: r.get(),
                 activity: r.get(),
-                ticks: r.get(),
             },
             t => panic!("bad ToCoord tag {t}"),
         }
@@ -736,7 +651,7 @@ pub(crate) struct Fleet {
     /// Per-worker observable-state cache (see [`WorkerSlice`]).
     pub(crate) slices: Vec<WorkerSlice>,
     /// Client submits queued since the last run, `(worker, block_addr,
-    /// submitted_at)` — relayed with the next `Sync`.
+    /// submitted_at)` — relayed with the next `Phase`.
     pub(crate) pending_submits: Vec<(usize, u64, u64)>,
     /// Per-chip journal of writes (host-side or relayed from other chips)
     /// not yet shipped to that chip.
@@ -769,12 +684,87 @@ impl Drop for Fleet {
     }
 }
 
+/// The fleet placement: each round is one `Round`/`RoundOut` exchange
+/// with every chip that owns a scheduled lane.
+struct Chips<'f> {
+    fleet: &'f mut Fleet,
+    /// The coordinator's host DRAM view, kept current from chip journals.
+    host: &'f mut Dram,
+    /// Every lane's link and phase activity in lane order, from `PhaseEnd`.
+    links: Vec<EpochLink>,
+    acts: Vec<LaneActivity>,
+}
+
+impl Placement for Chips<'_> {
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode) {
+        let fleet = &mut *self.fleet;
+        let mut per_chip: Vec<Vec<RoundEntry>> = fleet.chips.iter().map(|_| Vec::new()).collect();
+        for entry in lanes {
+            per_chip[fleet.chip_of(entry.0)].push(entry);
+        }
+        let active: Vec<usize> = (0..per_chip.len())
+            .filter(|&c| !per_chip[c].is_empty())
+            .collect();
+        for &c in &active {
+            fleet.chips[c].chan.send(&encode(&ToChip::Round {
+                entries: std::mem::take(&mut per_chip[c]),
+                journal: std::mem::take(&mut fleet.outbox[c]),
+            }));
+        }
+        let mut outs = Vec::new();
+        let mut root = RoundNode::empty();
+        for &c in &active {
+            let ToCoord::RoundOut {
+                outs: chip_outs,
+                node,
+                journal,
+            } = decode::<ToCoord>(&fleet.chips[c].chan.recv())
+            else {
+                panic!("fleet: expected RoundOut");
+            };
+            self.host.apply_write_journal(&journal);
+            for (other, outbox) in fleet.outbox.iter_mut().enumerate() {
+                if other != c {
+                    outbox.extend(journal.iter().cloned());
+                }
+            }
+            outs.extend(chip_outs);
+            root = RoundNode::merge(root, node);
+        }
+        (outs, root)
+    }
+
+    fn finish(&mut self, to: u64, expect_idle: bool) {
+        let msg = encode(&ToChip::Finish { to, expect_idle });
+        for chip in &mut self.fleet.chips {
+            chip.chan.send(&msg);
+        }
+        for c in 0..self.fleet.chips.len() {
+            let ToCoord::PhaseEnd {
+                links,
+                slices,
+                activity,
+            } = decode::<ToCoord>(&self.fleet.chips[c].chan.recv())
+            else {
+                panic!("fleet: expected PhaseEnd");
+            };
+            let range = self.fleet.ranges[c].clone();
+            assert_eq!(slices.len(), range.len(), "phase-end slice count");
+            for (w, slice) in range.zip(slices) {
+                self.fleet.slices[w] = slice;
+            }
+            self.links.extend(links);
+            self.acts.extend(activity);
+        }
+    }
+}
+
 impl Machine {
     /// Fork the chip processes. Called lazily by the first fleet run, so
     /// everything built before it — loaded tables, populated blocks, fault
     /// plans, trace flags — is inherited copy-on-write and needs no
     /// transfer.
-    fn fleet_spawn(&mut self) {
+    pub(crate) fn fleet_spawn(&mut self) {
         assert!(self.fleet.is_none(), "fleet already spawned");
         let n = self.workers.len();
         let nchips = self.fleet_chips.min(n);
@@ -840,8 +830,8 @@ impl Machine {
         }
     }
 
-    /// The chip process's service loop: answer `Sync`, execute phases,
-    /// return on `Shutdown`.
+    /// The chip process's service loop: execute phases, return on
+    /// `Shutdown`.
     fn fleet_chip_serve(&mut self, range: Range<usize>, chan: &mut Chan) {
         // Chips journal their banks (the timed mutation stream travels to
         // the coordinator); the inherited host-view journal state must not
@@ -852,16 +842,18 @@ impl Machine {
         self.dram.set_write_journal(false);
         loop {
             match decode::<ToChip>(&chan.recv()) {
-                ToChip::Sync {
+                ToChip::Phase {
                     now,
                     journal,
                     submits,
                     brks,
+                    tracing,
+                    links,
                 } => {
                     self.dram.apply_write_journal(&journal);
                     self.now = now;
-                    for (k, w) in range.clone().enumerate() {
-                        for (t, &brk) in brks[k].iter().enumerate() {
+                    for (w, brks) in range.clone().zip(brks) {
+                        for (t, brk) in brks.into_iter().enumerate() {
                             self.partitions[w].tables[t].heap.set_brk(brk);
                         }
                     }
@@ -869,22 +861,8 @@ impl Machine {
                         debug_assert!(range.contains(&w), "submit routed to wrong chip");
                         self.workers[w].softcore.submit_at(addr, at);
                     }
-                    let lanes: Vec<LaneSync> = range
-                        .clone()
-                        .map(|w| LaneSync {
-                            worker_next: self.workers[w].next_event(now),
-                            bank_next: self.banks[w].next_event(),
-                            buffered: self.banks[w].has_buffered_responses(),
-                            quiescent: self.workers[w].is_quiescent(),
-                        })
-                        .collect();
-                    chan.send(&encode(&ToCoord::SyncAck { lanes }));
+                    self.fleet_chip_phase(&range, tracing, links, chan);
                 }
-                ToChip::Phase {
-                    now0,
-                    tracing,
-                    links,
-                } => self.fleet_chip_phase(&range, now0, tracing, links, chan),
                 ToChip::Shutdown => return,
                 ToChip::Round { .. } | ToChip::Finish { .. } => {
                     panic!("fleet chip: phase message outside a phase")
@@ -893,19 +871,19 @@ impl Machine {
         }
     }
 
-    /// Execute one epoch phase chip-side: build the owned lanes, run every
-    /// `Round` the coordinator schedules (lanes in ascending order — the
-    /// serial merge order), and close with `PhaseEnd`.
+    /// Execute one epoch phase chip-side: build the owned lanes, report
+    /// their entry snapshot, run every `Round` the coordinator schedules
+    /// (lanes in ascending order — the serial merge order), and close with
+    /// `PhaseEnd`.
     fn fleet_chip_phase(
         &mut self,
         range: &Range<usize>,
-        now0: u64,
         tracing: bool,
-        links: Vec<EpochLink>,
+        mut links: Vec<EpochLink>,
         chan: &mut Chan,
     ) {
-        let base = range.start;
-        let (links, activity, total_ticks) = {
+        let now0 = self.now;
+        let activity = {
             let Machine {
                 workers,
                 banks,
@@ -914,85 +892,49 @@ impl Machine {
                 cat,
                 ..
             } = self;
-            let mut links = links;
             let mut lanes: Vec<Lane<'_>> = workers[range.clone()]
                 .iter_mut()
                 .zip(banks[range.clone()].iter_mut())
                 .zip(partitions[range.clone()].iter_mut())
                 .enumerate()
-                .map(|(k, ((worker, bank), part))| Lane {
-                    idx: base + k,
-                    worker,
-                    bank,
-                    tables: &mut part.tables,
-                    pos: now0,
-                    ticks: 0,
-                    skips: 0,
-                    rounds: 0,
-                    epoch_len: LatencyHistogram::new(),
-                    trace: Vec::new(),
+                .map(|(k, ((worker, bank), part))| {
+                    Lane::new(range.start + k, worker, bank, &mut part.tables, now0)
                 })
                 .collect();
             assert_eq!(lanes.len(), links.len(), "phase link slice mismatch");
+            let entry = lanes
+                .iter()
+                .zip(&links)
+                .map(|(lane, link)| LaneOut::entry(lane, link))
+                .collect();
+            chan.send(&encode(&ToCoord::Ready { lanes: entry }));
             loop {
                 match decode::<ToChip>(&chan.recv()) {
                     ToChip::Round { entries, journal } => {
                         dram.apply_write_journal(&journal);
                         let mut outs = Vec::with_capacity(entries.len());
-                        let mut batch = StagedBatch::empty();
-                        let mut trace: Vec<(u64, u32, TxnEvent)> = Vec::new();
-                        let mut journal_out = WriteJournal::new();
+                        let mut node = RoundNode::empty();
+                        let mut journal = WriteJournal::new();
                         for (g, horizon, pending) in entries {
-                            let k = g - base;
+                            let k = g - range.start;
                             let lane = &mut lanes[k];
-                            let link = &mut links[k];
-                            link.begin_round(pending);
-                            lane.rounds += 1;
-                            lane.epoch_len.record(horizon - lane.pos);
-                            let hint = run_round(lane, link, horizon, cat, tracing);
-                            let traffic = link.harvest();
-                            let drained = traffic.queue_drained();
-                            let lane_id = lane.idx as u32;
-                            let lane_trace: Vec<(u64, u32, TxnEvent)> = lane
-                                .trace
-                                .drain(..)
-                                .map(|(c, ev)| (c, lane_id, ev))
-                                .collect();
-                            trace = merge_traces(trace, lane_trace);
-                            batch = StagedBatch::merge(batch, StagedBatch::from_traffic(traffic));
-                            journal_out.extend(lane.bank.take_write_journal());
-                            outs.push((
-                                g,
-                                LaneOut {
-                                    hint,
-                                    pos: lane.pos,
-                                    quiescent: lane.worker.is_quiescent(),
-                                    drained,
-                                },
-                            ));
+                            let (out, lane_node) =
+                                step_lane(lane, &mut links[k], horizon, pending, cat, tracing);
+                            node = RoundNode::merge(node, lane_node);
+                            journal.extend(lane.bank.take_write_journal());
+                            outs.push((g, out));
                         }
                         chan.send(&encode(&ToCoord::RoundOut {
                             outs,
-                            batch,
-                            trace,
-                            journal: journal_out,
+                            node,
+                            journal,
                         }));
                     }
                     ToChip::Finish { to, expect_idle } => {
                         for (lane, link) in lanes.iter_mut().zip(&links) {
                             finish_lane(lane, link, to, expect_idle);
                         }
-                        let activity: Vec<LaneWork> = lanes
-                            .iter()
-                            .map(|l| LaneWork {
-                                ticks: l.ticks,
-                                skips: l.skips,
-                                rounds: l.rounds,
-                                epoch_len: l.epoch_len,
-                            })
-                            .collect();
-                        let total = lanes.iter().map(|l| l.ticks).sum::<u64>();
-                        break (links, activity, total);
+                        break lanes.iter().map(|l| l.act).collect::<Vec<_>>();
                     }
                     _ => panic!("fleet chip: unexpected message inside a phase"),
                 }
@@ -1006,272 +948,80 @@ impl Machine {
             links,
             slices,
             activity,
-            ticks: total_ticks,
         }));
     }
 
-    /// The coordinator side of one fleet run: sync the chips, drive one
-    /// epoch phase with the shared [`EpochCoordinator`], absorb the
-    /// results, and apply the serial loop's uniform exit conditions
-    /// (quiescence, crash, limit). Bit-identical to
-    /// [`Machine::run_to_quiescence_limit`] on the in-process engines.
-    pub(crate) fn run_fleet_to_quiescence(&mut self, limit: u64) -> u64 {
-        if self.fleet.is_none() {
-            self.fleet_spawn();
-        }
-        let start = self.now;
+    /// One phase on the fleet placement: open it on every chip (spawned
+    /// by the caller), drive it, and refresh the coordinator's mirrors.
+    /// Returns the drive outcome plus every lane's link and activity, in
+    /// lane order.
+    pub(crate) fn fleet_phase(
+        &mut self,
+        links: Vec<EpochLink>,
+        stop: Stop,
+        crash: Option<u64>,
+        merger: EpochMerger,
+    ) -> (Drive, Vec<EpochLink>, Vec<LaneActivity>) {
+        let now = self.now;
         let n = self.workers.len();
         // Take the fleet out of `self` for the duration: the run needs the
         // machine's components and the fleet's channels simultaneously.
         // (On a coordinator panic the local is dropped, which shuts the
         // chips down.)
         let mut fleet = self.fleet.take().expect("fleet spawned");
-        let nchips = fleet.chips.len();
 
-        // ---- Sync: ship host writes, loader brks, and queued submits ----
+        // ---- Phase: ship host writes, loader brks, queued submits, links
         let host_journal = self.dram.take_write_journal();
         let submits = std::mem::take(&mut fleet.pending_submits);
-        for c in 0..nchips {
+        let tracing = self.trace_sink.enabled();
+        let mut links = links.into_iter();
+        for c in 0..fleet.chips.len() {
+            let range = fleet.ranges[c].clone();
             let mut journal = std::mem::take(&mut fleet.outbox[c]);
             journal.extend(host_journal.iter().cloned());
-            let subs: Vec<(usize, u64, u64)> = submits
+            let submits = submits
                 .iter()
                 .copied()
-                .filter(|&(w, _, _)| fleet.ranges[c].contains(&w))
+                .filter(|(w, _, _)| range.contains(w))
                 .collect();
-            let brks: Vec<Vec<u64>> = fleet.ranges[c]
+            let brks = range
                 .clone()
-                .map(|w| {
-                    self.partitions[w]
-                        .tables
-                        .iter()
-                        .map(|t| t.heap.brk())
-                        .collect()
-                })
+                .map(|w| self.partitions[w].tables.iter().map(|t| t.heap.brk()).collect())
                 .collect();
-            fleet.chips[c].chan.send(&encode(&ToChip::Sync {
-                now: start,
-                journal,
-                submits: subs,
-                brks,
-            }));
-        }
-        let mut acks: Vec<LaneSync> = Vec::with_capacity(n);
-        for c in 0..nchips {
-            match decode::<ToCoord>(&fleet.chips[c].chan.recv()) {
-                ToCoord::SyncAck { lanes } => acks.extend(lanes),
-                _ => panic!("fleet: expected SyncAck"),
-            }
-        }
-        assert_eq!(acks.len(), n, "every lane reports at sync");
-        if self.noc.is_idle() && acks.iter().all(|a| a.quiescent) {
-            // Nothing to do; the slices from the last phase are current.
-            self.fleet = Some(fleet);
-            return 0;
-        }
-        assert!(limit > 0, "machine did not quiesce within 0 cycles");
-
-        // ---- phase setup (mirrors `run_epochs`) ----
-        let raw_cap = start.saturating_add(limit) - 1;
-        let mut cap = raw_cap;
-        if let Some(c) = self.fault_plan.crash_at {
-            assert!(c > start, "fleet engine needs the crash cycle ahead of the run");
-            // Unlike the in-process engine (which leaves the crash cycle to
-            // the serial loop), the fleet phase runs *through* cycle `c`
-            // and latches the crash itself.
-            cap = cap.min(c);
-        }
-        let tracing = self.trace_sink.enabled();
-        let mut merger = EpochMerger::new(&self.noc);
-        let links: Vec<EpochLink> = self.noc.begin_epoch();
-        let init: Vec<(Option<u64>, bool, bool)> = (0..n)
-            .map(|i| {
-                // `lane_next`, evaluated from the SyncAck snapshot.
-                let a = &acks[i];
-                let link_next = links[i].next_ready(start);
-                let hint = if link_next.is_none() && a.quiescent {
-                    None
-                } else if a.buffered {
-                    Some(start + 1)
-                } else {
-                    let mut best = a.worker_next;
-                    if let Some(t) = a.bank_next {
-                        let t = t.max(start + 1);
-                        best = Some(best.map_or(t, |b| b.min(t)));
-                    }
-                    if let Some(t) = link_next {
-                        best = Some(best.map_or(t, |b| b.min(t)));
-                    }
-                    best
-                };
-                (hint, link_next.is_none(), a.quiescent)
-            })
-            .collect();
-        let mut iter = links.into_iter();
-        for c in 0..nchips {
-            let chunk: Vec<EpochLink> = iter.by_ref().take(fleet.ranges[c].len()).collect();
             fleet.chips[c].chan.send(&encode(&ToChip::Phase {
-                now0: start,
+                now,
+                journal,
+                submits,
+                brks,
                 tracing,
-                links: chunk,
+                links: links.by_ref().take(range.len()).collect(),
             }));
         }
-        let mut coord = EpochCoordinator::new(cap, start, init);
-        let mut trace_buf: Vec<(u64, u32, TxnEvent)> = Vec::new();
-        let mut rounds_done = 0u64;
-        // Whether the serial mop-up's one post-cap fast-forward step has
-        // been spent (see the exit arm below).
-        let mut extended = false;
+        let mut init = Vec::with_capacity(n);
+        for chip in &mut fleet.chips {
+            let ToCoord::Ready { lanes } = decode::<ToCoord>(&chip.chan.recv()) else {
+                panic!("fleet: expected Ready");
+            };
+            init.extend(lanes);
+        }
+        assert_eq!(init.len(), n, "every lane reports at phase entry");
 
-        // ---- the epoch loop ----
-        let (to, expect_idle) = loop {
-            match coord.next_step(&mut merger, &mut self.noc) {
-                Step::Round { lanes, gvt } => {
-                    if tracing {
-                        let cut = trace_buf.partition_point(|&(c, _, _)| c < gvt);
-                        for (_, _, ev) in trace_buf.drain(..cut) {
-                            self.trace_sink.txn(&ev);
-                        }
-                    }
-                    let mut per_chip: Vec<Vec<RoundEntry>> =
-                        (0..nchips).map(|_| Vec::new()).collect();
-                    for entry in lanes {
-                        per_chip[fleet.chip_of(entry.0)].push(entry);
-                    }
-                    let active: Vec<usize> =
-                        (0..nchips).filter(|&c| !per_chip[c].is_empty()).collect();
-                    for &c in &active {
-                        let journal = std::mem::take(&mut fleet.outbox[c]);
-                        fleet.chips[c].chan.send(&encode(&ToChip::Round {
-                            entries: std::mem::take(&mut per_chip[c]),
-                            journal,
-                        }));
-                    }
-                    let mut batch = StagedBatch::empty();
-                    let mut round_trace: Vec<(u64, u32, TxnEvent)> = Vec::new();
-                    for &c in &active {
-                        match decode::<ToCoord>(&fleet.chips[c].chan.recv()) {
-                            ToCoord::RoundOut {
-                                outs,
-                                batch: b,
-                                trace,
-                                journal,
-                            } => {
-                                self.dram.apply_write_journal(&journal);
-                                for (other, outbox) in fleet.outbox.iter_mut().enumerate() {
-                                    if other != c {
-                                        outbox.extend(journal.iter().cloned());
-                                    }
-                                }
-                                for (i, out) in outs {
-                                    coord.note_out(i, &out);
-                                }
-                                batch = StagedBatch::merge(batch, b);
-                                round_trace = merge_traces(round_trace, trace);
-                            }
-                            _ => panic!("fleet: expected RoundOut"),
-                        }
-                    }
-                    merger.absorb(&mut self.noc, batch);
-                    trace_buf = merge_traces(std::mem::take(&mut trace_buf), round_trace);
-                    rounds_done += 1;
-                }
-                Step::Finish {
-                    to, expect_idle, gvt,
-                } => {
-                    let Some(g) = gvt else {
-                        // The machine ran dry below the cap: the normal
-                        // quiescent (or wedged) exit.
-                        break (to, expect_idle);
-                    };
-                    // The cap ended the phase. Mirror the serial loop's
-                    // mop-up exactly: it would fast-forward once to the
-                    // next event `g` (clamped to the crash cycle), tick it,
-                    // and then either exit on quiescence/crash or panic on
-                    // the limit assert.
-                    if let Some(c) = self.fault_plan.crash_at {
-                        if coord.cap == c || (!extended && g > c) {
-                            // The phase ran through the crash cycle (or no
-                            // event precedes it): finish every lane *at* the
-                            // crash cycle and latch the crash below.
-                            break (c, false);
-                        }
-                    }
-                    if extended {
-                        panic!("machine did not quiesce within {limit} cycles (fleet engine)");
-                    }
-                    extended = true;
-                    coord.cap = self.fault_plan.crash_at.map_or(g, |c| g.min(c));
-                    // The capped exit recorded `g` as the last GVT; the
-                    // mop-up round will re-derive it, which must not trip
-                    // the strict-increase audit.
-                    coord.prev_gvt = None;
-                }
-            }
+        let coord = EpochCoordinator::new(now, stop, crash, init);
+        let mut place = Chips {
+            fleet: &mut fleet,
+            host: &mut self.dram,
+            links: Vec::with_capacity(n),
+            acts: Vec::with_capacity(n),
         };
-
-        // ---- finish: drain traces, close the phase, absorb results ----
-        if tracing {
-            for (_, _, ev) in trace_buf.drain(..) {
-                self.trace_sink.txn(&ev);
+        let end = drive(&mut place, coord, merger, &mut self.noc, self.trace_sink.as_mut());
+        let Chips { links, acts, .. } = place;
+        for (part, slice) in self.partitions.iter_mut().zip(&fleet.slices) {
+            for (t, &brk) in slice.table_brks.iter().enumerate() {
+                part.tables[t].heap.set_brk(brk);
             }
         }
-        for c in 0..nchips {
-            fleet.chips[c]
-                .chan
-                .send(&encode(&ToChip::Finish { to, expect_idle }));
-        }
-        let mut all_links: Vec<EpochLink> = Vec::with_capacity(n);
-        let mut total_ticks = 0u64;
-        for c in 0..nchips {
-            match decode::<ToCoord>(&fleet.chips[c].chan.recv()) {
-                ToCoord::PhaseEnd {
-                    links,
-                    slices,
-                    activity,
-                    ticks,
-                } => {
-                    let range = fleet.ranges[c].clone();
-                    assert_eq!(slices.len(), range.len(), "phase-end slice count");
-                    for (k, slice) in slices.into_iter().enumerate() {
-                        let w = range.start + k;
-                        let a = &activity[k];
-                        let la = &mut self.lane_activity[w];
-                        la.ticks += a.ticks;
-                        la.skips += a.skips;
-                        la.rounds += a.rounds;
-                        la.epoch_len.merge(&a.epoch_len);
-                        for (t, &brk) in slice.table_brks.iter().enumerate() {
-                            self.partitions[w].tables[t].heap.set_brk(brk);
-                        }
-                        fleet.slices[w] = slice;
-                    }
-                    all_links.extend(links);
-                    total_ticks += ticks;
-                }
-                _ => panic!("fleet: expected PhaseEnd"),
-            }
-        }
-        self.noc.absorb_epoch(all_links, coord.take_slots());
-        self.now = to;
-        self.ticks_executed += total_ticks;
-        self.epoch_rounds += rounds_done;
         self.fleet = Some(fleet);
-        // The crash latches whenever the run advanced onto the crash cycle
-        // — whether the cap forced it there or the machine's own last event
-        // landed on it (serial ticks `c` in both cases).
-        if self.fault_plan.crash_at == Some(to) {
-            self.crashed = true;
-            if let Some(mut hook) = self.crash_hook.take() {
-                self.crash_image = Some(hook(self));
-            }
-        } else if !self.crashed {
-            assert!(
-                expect_idle,
-                "fleet run ran dry without quiescing (wedged worker)"
-            );
-        }
-        self.now - start
+        (end, links, acts)
     }
 }
 
@@ -1285,10 +1035,7 @@ mod tests {
     /// tests live in single-threaded binaries (`goldencheck`, `chaos`).
     #[test]
     fn shm_chan_streams_frames_larger_than_the_ring() {
-        // Cross-wire manually (Chan::pair consults the env; build explicit).
-        let (a, b) = (shm::Ring::alloc(), shm::Ring::alloc());
-        let mut coord_end = Chan::Shm { tx: a, rx: b };
-        let mut chip_end = Chan::Shm { tx: b, rx: a };
+        let (mut coord_end, mut chip_end) = Chan::pair();
 
         let big: Vec<u8> = (0..(3 * shm::RING_CAP + 17))
             .map(|i| (i * 31 % 251) as u8)
@@ -1308,41 +1055,30 @@ mod tests {
     }
 
     #[test]
-    fn socket_chan_roundtrips_frames() {
-        let (sa, sb) = UnixStream::pair().unwrap();
-        let mut a = Chan::Socket(sa);
-        let mut b = Chan::Socket(sb);
-        let msg: Vec<u8> = (0..100_000).map(|i| (i % 256) as u8).collect();
-        let expect = msg.clone();
-        let t = std::thread::spawn(move || {
-            let got = b.recv();
-            b.send(&got);
-            got
-        });
-        a.send(&msg);
-        assert_eq!(a.recv(), expect);
-        assert_eq!(t.join().unwrap(), expect);
-    }
-
-    #[test]
     fn protocol_messages_round_trip() {
-        let sync = ToChip::Sync {
+        let phase = ToChip::Phase {
             now: 42,
             journal: vec![(0x1000, vec![1, 2, 3]), (0x2000, vec![9])],
             submits: vec![(1, 0xdead, 40), (2, 0xbeef, 41)],
             brks: vec![vec![10, 20], vec![30]],
+            tracing: true,
+            links: Vec::new(),
         };
-        match decode::<ToChip>(&encode(&sync)) {
-            ToChip::Sync {
+        match decode::<ToChip>(&encode(&phase)) {
+            ToChip::Phase {
                 now,
                 journal,
                 submits,
                 brks,
+                tracing,
+                links,
             } => {
                 assert_eq!(now, 42);
                 assert_eq!(journal, vec![(0x1000, vec![1, 2, 3]), (0x2000, vec![9])]);
                 assert_eq!(submits, vec![(1, 0xdead, 40), (2, 0xbeef, 41)]);
                 assert_eq!(brks, vec![vec![10, 20], vec![30]]);
+                assert!(tracing);
+                assert!(links.is_empty());
             }
             _ => panic!("wrong variant"),
         }
@@ -1357,8 +1093,7 @@ mod tests {
                     drained: true,
                 },
             )],
-            batch: StagedBatch::empty(),
-            trace: Vec::new(),
+            node: RoundNode::empty(),
             journal: vec![(8, vec![0xff; 64])],
         };
         match decode::<ToCoord>(&encode(&out)) {

@@ -15,10 +15,21 @@
 //! all *far away* can safely run far ahead of a lane whose senders are
 //! near.
 //!
-//! # The schedule (GVT + per-pair horizons)
+//! # One engine, two placements
 //!
 //! Each worker *lane* (worker + bank + tables + detached [`EpochLink`])
-//! is a work item. Per round:
+//! is a work item. One driver, [`drive`], runs an epoch phase: it asks the
+//! [`EpochCoordinator`] for the next step and hands it to a
+//! [`Placement`], which can do exactly two things — run a set of lanes to
+//! their horizons, and finish every lane at a common cycle. The threaded
+//! placement (this module) runs lanes on scoped threads; the fleet
+//! placement (`machine/fleet.rs`) runs them in forked chip processes.
+//! Both execute a lane with the same [`step_lane`]/[`finish_lane`], so the
+//! placements are bit-identical by construction.
+//!
+//! # The schedule (GVT + per-pair horizons)
+//!
+//! Per round:
 //!
 //! 1. The coordinator computes each lane's **base** `base_j` — a lower
 //!    bound on the next cycle lane `j` can act at: its exit hint, the
@@ -37,20 +48,26 @@
 //! 4. Per-lane horizon `H_i = min(floor_i, min_{j != i}(A_j + L(j, i))) - 1`
 //!    (capped): no send any lane can still make, and no send already
 //!    staged, can arrive at `i` at or before `H_i`.
-//! 5. Every lane whose next action is `<= H_i` becomes a work item on a
-//!    shared schedule; threads (the coordinator included) **claim lanes
-//!    dynamically** with an atomic cursor, so skewed workloads no longer
-//!    idle threads behind a static chunking. Each finished lane deposits
+//! 5. Every lane whose next action is `<= H_i` is scheduled. In the
+//!    threaded placement threads (the coordinator included) **claim lanes
+//!    dynamically** with an atomic cursor, and each finished lane deposits
 //!    its round traffic and trace into a **combining tree** whose nodes
-//!    merge pairwise, in parallel, with order-preserving merges — the
-//!    root is deterministic regardless of thread interleaving.
+//!    merge pairwise with order-preserving merges — the root is
+//!    deterministic regardless of thread interleaving.
 //!
 //! Trace events drain to the sink only below the GVT (their serial order
-//! is then final); the remainder drains at epoch end. When the GVT passes
-//! the cap (or nothing remains), every lane is topped up (`skip`) to a
-//! common cycle and control returns to the serial loop in
-//! [`Machine::run_to_quiescence_limit`], which owns the uniform exit
-//! conditions (quiescence, crash, limit panic).
+//! is then final); the remainder drains at phase end.
+//!
+//! # Exit policy
+//!
+//! The phase runs *through* its stop cycle: the crash cycle, the
+//! `step_until` target, or the last cycle of a quiescence run's limit. A
+//! capped quiescence run extends once to the next event (the serial loop
+//! ticks that event before its limit check) and panics if the machine is
+//! still busy after it. Every lane is then finished at the exit cycle,
+//! and only after that does the machine latch a scheduled crash and run
+//! its hook — the same instant serial ticking reaches after the crash
+//! cycle's last worker. See DESIGN.md §11, "Exit and crash exactness".
 //!
 //! # Determinism invariants
 //!
@@ -67,89 +84,102 @@
 //!   and queue high-water marks are bit-identical. See DESIGN.md §11 for
 //!   the full argument.
 //! * Traces are merged by (cycle, worker-id) — the serial drain order.
-//! * A scheduled crash caps the epoch phase at `crash_at - 1`; the crash
-//!   cycle itself is *ticked* by the serial loop, so the crash-instant
-//!   state (and the [`crate::recovery::DurableImage`] the hook snapshots)
-//!   is bit-identical to a serial run.
 //!
 //! The coordination barrier blocks (mutex + condvar) rather than spins, so
 //! oversubscribed hosts — including single-core CI boxes — degrade
-//! gracefully instead of burning timeslices.
+//! gracefully.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread::Scope;
 use std::time::Instant;
 
 use bionicdb_coproc::layout::TableState;
-use bionicdb_fpga::obs::LatencyHistogram;
-use bionicdb_fpga::{Dram, TxnEvent};
+use bionicdb_fpga::{Dram, TraceSink, TxnEvent};
 use bionicdb_noc::{EpochLink, EpochMerger, Noc, Packet, StagedBatch};
 use bionicdb_softcore::catalogue::Catalogue;
 use bionicdb_softcore::PartitionId;
 
-use super::Machine;
+use super::{LaneActivity, Machine};
 use crate::worker::PartitionWorker;
 
-/// One worker's slice of the machine, self-contained for a round. Shared
-/// with the fleet engine (`machine/fleet.rs`), where a chip process builds
-/// one per owned worker each phase.
+// ---------------------------------------------------------------------------
+// one lane
+
+/// One worker's slice of the machine, self-contained for a phase. Both
+/// placements build one per worker they own.
 pub(crate) struct Lane<'a> {
-    pub(crate) idx: usize,
-    pub(crate) worker: &'a mut PartitionWorker,
+    idx: usize,
+    worker: &'a mut PartitionWorker,
     pub(crate) bank: &'a mut Dram,
-    pub(crate) tables: &'a mut [TableState],
+    tables: &'a mut [TableState],
     /// This lane's clock: the last cycle it ticked or skipped to.
-    pub(crate) pos: u64,
-    /// Component ticks executed by this lane (simulator instrumentation).
-    pub(crate) ticks: u64,
-    /// Cycles this lane fast-forwarded over instead of ticking
-    /// (simulator instrumentation).
-    pub(crate) skips: u64,
-    /// Rounds this lane was scheduled for (simulator instrumentation).
-    pub(crate) rounds: u64,
-    /// Distribution of granted epoch spans (horizon minus entry position;
-    /// simulator instrumentation).
-    pub(crate) epoch_len: LatencyHistogram,
+    pos: u64,
+    /// What running this lane cost the simulator this phase.
+    pub(crate) act: LaneActivity,
     /// Trace events buffered this round, stamped with their cycle.
-    pub(crate) trace: Vec<(u64, TxnEvent)>,
+    trace: Vec<(u64, TxnEvent)>,
 }
 
-/// The scalars a lane reports at the round barrier (its traffic and trace
-/// travel through the combining tree instead).
+impl<'a> Lane<'a> {
+    pub(crate) fn new(
+        idx: usize,
+        worker: &'a mut PartitionWorker,
+        bank: &'a mut Dram,
+        tables: &'a mut [TableState],
+        pos: u64,
+    ) -> Self {
+        Lane {
+            idx,
+            worker,
+            bank,
+            tables,
+            pos,
+            act: LaneActivity::new(),
+            trace: Vec::new(),
+        }
+    }
+}
+
+/// What a lane reports to the coordinator: its phase-entry snapshot and,
+/// after every round it ran, its barrier scalars (its traffic and trace
+/// travel in a [`RoundNode`] instead).
 pub(crate) struct LaneOut {
-    /// The lane's next self-known action (`> horizon`), or `None` when the
-    /// worker, bank, and queued deliveries are all exhausted.
+    /// The lane's next self-known action, or `None` when the worker,
+    /// bank, and queued deliveries are all exhausted.
     pub(crate) hint: Option<u64>,
     pub(crate) pos: u64,
     pub(crate) quiescent: bool,
-    /// Whether the lane's delivery queue was empty at harvest.
+    /// Whether the lane's delivery queue is empty.
     pub(crate) drained: bool,
 }
 
-/// A lane plus everything a claiming thread needs to run it for a round.
-struct LaneCell<'a> {
-    lane: Lane<'a>,
-    link: EpochLink,
-    /// Deliveries routed since the lane last ran, handed to
-    /// [`EpochLink::begin_round`] when the lane is next scheduled.
-    pending: Vec<(u64, Packet)>,
-    /// The horizon granted for the current round.
-    horizon: u64,
-    out: Option<LaneOut>,
-    /// When the claiming thread finished this lane — the coordinator turns
-    /// it into per-lane barrier idle time.
-    done_at: Option<Instant>,
+impl LaneOut {
+    /// Snapshot `lane`, whose next action is `hint` (`lane_next`).
+    fn of(lane: &Lane<'_>, link: &EpochLink, hint: Option<u64>) -> Self {
+        LaneOut {
+            hint,
+            pos: lane.pos,
+            quiescent: lane.worker.is_quiescent(),
+            drained: link.next_ready(lane.pos).is_none(),
+        }
+    }
+
+    /// The phase-entry snapshot of a freshly built lane.
+    pub(crate) fn entry(lane: &Lane<'_>, link: &EpochLink) -> Self {
+        Self::of(lane, link, lane_next(lane, link))
+    }
 }
 
-/// One leaf (or merged subtree) of the round's combining tree.
-struct RoundNode {
-    batch: StagedBatch,
+/// One lane's round traffic and trace (or a merged subtree of them).
+pub(crate) struct RoundNode {
+    pub(crate) batch: StagedBatch,
     /// Trace events `(cycle, lane, event)`, sorted by `(cycle, lane)`.
-    trace: Vec<(u64, u32, TxnEvent)>,
+    pub(crate) trace: Vec<(u64, u32, TxnEvent)>,
 }
 
 impl RoundNode {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         RoundNode {
             batch: StagedBatch::empty(),
             trace: Vec::new(),
@@ -158,7 +188,7 @@ impl RoundNode {
 
     /// Deterministic pairwise combine: order-preserving merges keyed the
     /// way a serial pass would have ordered the concatenation.
-    fn merge(a: Self, b: Self) -> Self {
+    pub(crate) fn merge(a: Self, b: Self) -> Self {
         RoundNode {
             batch: StagedBatch::merge(a.batch, b.batch),
             trace: merge_traces(a.trace, b.trace),
@@ -169,7 +199,7 @@ impl RoundNode {
 /// Order-preserving two-pointer merge of `(cycle, lane)`-sorted traces;
 /// `<=` keeps the left operand first on ties, matching a stable sort of
 /// the concatenation.
-pub(crate) fn merge_traces(
+fn merge_traces(
     a: Vec<(u64, u32, TxnEvent)>,
     b: Vec<(u64, u32, TxnEvent)>,
 ) -> Vec<(u64, u32, TxnEvent)> {
@@ -198,6 +228,513 @@ pub(crate) fn merge_traces(
     out
 }
 
+/// The earliest cycle `> lane.pos` at which this lane has an event: its
+/// worker's own next event, its bank's next completion, or its queue
+/// front becoming deliverable — the per-worker slice of the serial
+/// scheduler's global `next_event`.
+///
+/// One deliberate asymmetry: a *quiescent* worker with no queued NoC
+/// deliveries never wakes for bank-only events. Those are orphan
+/// responses to requests whose transactions already retired (aborts
+/// abandon in-flight reads); the serial loop exits at machine quiescence
+/// with such responses still in flight, so a lane that kept ticking to
+/// drain them would over-account idle cycles past the serial exit cycle.
+/// Delivering and draining an orphan is stat-neutral, and the bank
+/// delivers everything due before the lane's next issue, so *when* it
+/// happens (here: only while the lane is otherwise active) is invisible.
+/// (Posted-write acknowledgements no longer reach this path at all: the
+/// banks cancel them at completion.)
+fn lane_next(lane: &Lane<'_>, link: &EpochLink) -> Option<u64> {
+    let link_next = link.next_ready(lane.pos);
+    if link_next.is_none() && lane.worker.is_quiescent() {
+        return None;
+    }
+    if lane.bank.has_buffered_responses() {
+        return Some(lane.pos + 1);
+    }
+    let mut best = lane.worker.next_event(lane.pos);
+    if let Some(t) = lane.bank.next_event() {
+        let t = t.max(lane.pos + 1);
+        best = Some(best.map_or(t, |b| b.min(t)));
+    }
+    if let Some(t) = link_next {
+        best = Some(best.map_or(t, |b| b.min(t)));
+    }
+    best
+}
+
+/// Run one lane through one round: fast-forward from event to event,
+/// ticking every cycle `<= horizon` at which the lane could act. Returns
+/// the lane's exit hint.
+fn run_round(
+    lane: &mut Lane<'_>,
+    link: &mut EpochLink,
+    horizon: u64,
+    cat: &Catalogue,
+    tracing: bool,
+) -> Option<u64> {
+    loop {
+        match lane_next(lane, link) {
+            Some(t) if t <= horizon => {
+                let k = t - lane.pos - 1;
+                if k > 0 {
+                    lane.worker.skip(k);
+                    lane.act.skips += k;
+                }
+                lane.pos = t;
+                lane.act.ticks += 1;
+                lane.bank.tick(t);
+                lane.worker.tick(t, lane.bank, cat, link, lane.tables);
+                if tracing {
+                    for ev in lane.worker.softcore.drain_trace() {
+                        lane.trace.push((t, ev));
+                    }
+                }
+            }
+            other => break other,
+        }
+    }
+}
+
+/// The one lane step both placements run for a scheduled lane: deliver
+/// the routed packets, run to `horizon`, and harvest the round's traffic
+/// and trace for the merge plus the scalars for the coordinator.
+pub(crate) fn step_lane(
+    lane: &mut Lane<'_>,
+    link: &mut EpochLink,
+    horizon: u64,
+    pending: Vec<(u64, Packet)>,
+    cat: &Catalogue,
+    tracing: bool,
+) -> (LaneOut, RoundNode) {
+    link.begin_round(pending);
+    lane.act.rounds += 1;
+    lane.act.epoch_len.record(horizon - lane.pos);
+    let hint = run_round(lane, link, horizon, cat, tracing);
+    let batch = StagedBatch::from_traffic(link.harvest());
+    let id = lane.idx as u32;
+    let trace = lane.trace.drain(..).map(|(c, ev)| (c, id, ev)).collect();
+    (LaneOut::of(lane, link, hint), RoundNode { batch, trace })
+}
+
+/// Top a lane up to the common exit cycle. With `expect_idle` (the
+/// coordinator determined the machine is quiescent) this also audits that
+/// nothing was left behind.
+pub(crate) fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect_idle: bool) {
+    debug_assert!(to >= lane.pos, "finish target behind lane position");
+    if to > lane.pos {
+        lane.worker.skip(to - lane.pos);
+        lane.act.skips += to - lane.pos;
+        lane.pos = to;
+    }
+    if expect_idle {
+        debug_assert!(
+            lane.worker.is_quiescent(),
+            "quiescent finish with a busy worker"
+        );
+        // Note: the DRAM bank may legitimately still hold in-flight or
+        // buffered *orphan* responses here — serial exits at machine
+        // quiescence without waiting for them (see `lane_next`).
+        debug_assert!(
+            link.next_ready(to).is_none(),
+            "quiescent finish with a queued NoC delivery"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the coordinator
+
+/// One scheduled lane in a barrier round:
+/// `(lane index, granted horizon, deliveries routed since it last ran)`.
+pub(crate) type RoundEntry = (usize, u64, Vec<(u64, Packet)>);
+
+/// What the coordinator decided for the next barrier round.
+enum Step {
+    /// Run the listed lanes, each to its granted horizon, delivering the
+    /// attached pending packets first. `gvt` is the round's commit bound:
+    /// buffered trace events below it are final in serial order.
+    Round { lanes: Vec<RoundEntry>, gvt: u64 },
+    /// The phase is over: finish every lane at cycle `to`. `expect_idle`
+    /// says the machine ran dry and every worker is quiescent.
+    Finish { to: u64, expect_idle: bool },
+}
+
+/// Where an epoch phase stops.
+#[derive(Clone, Copy)]
+pub(crate) enum Stop {
+    /// `run_to_quiescence_limit`: stop once the machine ran dry; panic
+    /// when it is still busy `limit` cycles on (after the one-time
+    /// extension to the next event).
+    Quiesce { limit: u64 },
+    /// `step_until`: land exactly on this cycle, busy or not.
+    At(u64),
+}
+
+/// The coordinator-side scheduling brain of one epoch phase — GVT
+/// fixpoint, staged-send commits, Bellman-Ford earliest-action relaxation,
+/// per-lane horizon grants, and the exit policy — with *no* opinion about
+/// how lanes actually execute.
+pub(crate) struct EpochCoordinator {
+    n: usize,
+    now0: u64,
+    stop: Stop,
+    /// The scheduled crash cycle, if any (never at or before `now0`).
+    crash: Option<u64>,
+    /// The last cycle a lane may run to: the stop cycle, the crash cycle,
+    /// or — once extended — the first event past the limit.
+    cap: u64,
+    /// Whether a quiescence run has spent its one extension.
+    extended: bool,
+    /// Per-lane exit hints, refreshed from [`LaneOut`] at each barrier.
+    hint: Vec<Option<u64>>,
+    pos: Vec<u64>,
+    drained: Vec<bool>,
+    quiescent: Vec<bool>,
+    /// Deliveries routed but not yet handed to a scheduled lane.
+    slots: Vec<Vec<(u64, Packet)>>,
+    base: Vec<Option<u64>>,
+    floors: Vec<Option<u64>>,
+    /// The last round's GVT (strict-increase audit).
+    prev_gvt: Option<u64>,
+}
+
+impl EpochCoordinator {
+    /// Build from the phase-entry snapshot, one [`LaneOut`] per lane,
+    /// captured right after [`Noc::begin_epoch`] detached the links.
+    pub(crate) fn new(now0: u64, stop: Stop, crash: Option<u64>, init: Vec<LaneOut>) -> Self {
+        let n = init.len();
+        let last = match stop {
+            Stop::Quiesce { limit } => now0.saturating_add(limit) - 1,
+            Stop::At(target) => target,
+        };
+        let mut coord = EpochCoordinator {
+            n,
+            now0,
+            stop,
+            crash,
+            cap: crash.map_or(last, |c| last.min(c)),
+            extended: false,
+            hint: vec![None; n],
+            pos: vec![now0; n],
+            drained: vec![true; n],
+            quiescent: vec![true; n],
+            slots: (0..n).map(|_| Vec::new()).collect(),
+            base: vec![None; n],
+            floors: vec![None; n],
+            prev_gvt: None,
+        };
+        for (i, out) in init.iter().enumerate() {
+            coord.note_out(i, out);
+        }
+        coord
+    }
+
+    /// Absorb one lane's report.
+    fn note_out(&mut self, i: usize, out: &LaneOut) {
+        self.hint[i] = out.hint;
+        self.pos[i] = out.pos;
+        self.drained[i] = out.drained;
+        self.quiescent[i] = out.quiescent;
+    }
+
+    /// Decide the next round: run the GVT fixpoint (committing staged
+    /// sends below the bound until no commit can raise it), then either
+    /// grant horizons and schedule every lane with work, or declare the
+    /// phase over. See the module docs for the full argument.
+    fn next_step(&mut self, merger: &mut EpochMerger, noc: &mut Noc) -> Step {
+        let n = self.n;
+        let pid = |i: usize| PartitionId(i as u16);
+        // ---- GVT fixpoint: commit staged sends below the bound until no
+        // commit can raise it further ----
+        let gvt = loop {
+            let floors_now = merger.arrival_floors(noc);
+            let mut g: Option<u64> = None;
+            for (i, &floor) in floors_now.iter().enumerate() {
+                let mut b = self.hint[i];
+                if self.drained[i] {
+                    if let Some(&(arr, _)) = self.slots[i].first() {
+                        let w = arr.max(self.pos[i] + 1);
+                        b = Some(b.map_or(w, |x| x.min(w)));
+                    }
+                }
+                if let Some(f) = floor {
+                    let w = f.max(self.pos[i] + 1);
+                    b = Some(b.map_or(w, |x| x.min(w)));
+                }
+                self.base[i] = b;
+                if let Some(t) = b {
+                    g = Some(g.map_or(t, |x| x.min(t)));
+                }
+            }
+            self.floors = floors_now;
+            let Some(g) = g else { break None };
+            let (deliv, committed) = merger.commit(noc, Some(g));
+            for (w, d) in deliv.into_iter().enumerate() {
+                for (arr, pkt) in d {
+                    debug_assert!(
+                        arr > self.pos[w],
+                        "delivery at {arr} behind lane {w} at {}",
+                        self.pos[w]
+                    );
+                    self.slots[w].push((arr, pkt));
+                }
+            }
+            if committed == 0 {
+                break Some(g);
+            }
+        };
+        debug_assert!(
+            self.prev_gvt.is_none_or(|p| gvt.is_none_or(|g| g > p)),
+            "GVT must strictly increase across rounds"
+        );
+        self.prev_gvt = gvt;
+
+        let gvt = match gvt {
+            Some(g) if g <= self.cap || self.extend(g) => g,
+            _ => return self.finish(merger, noc, gvt.is_none()),
+        };
+
+        // ---- earliest-action fixpoint (Bellman-Ford over the lookahead
+        // matrix): A_j bounds the earliest cycle lane j can still act —
+        // and therefore send — at, including being woken through a chain
+        // of nearer lanes ----
+        let mut act = self.base.clone();
+        loop {
+            let mut changed = false;
+            for j in 0..n {
+                for k in 0..n {
+                    if k == j {
+                        continue;
+                    }
+                    if let Some(ak) = act[k] {
+                        let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
+                        if act[j].is_none_or(|aj| via < aj) {
+                            act[j] = Some(via);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+
+        // ---- grant horizons, schedule lanes with work ----
+        let mut lanes: Vec<RoundEntry> = Vec::new();
+        for i in 0..n {
+            // No send any lane can still make, and no send already staged,
+            // arrives at i by H_i.
+            let mut bound = self.floors[i];
+            for (j, aj) in act.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                if let Some(aj) = aj {
+                    let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
+                    bound = Some(bound.map_or(arr, |b| b.min(arr)));
+                }
+            }
+            let h = bound
+                .map_or(self.cap, |b| b.saturating_sub(1))
+                .min(self.cap);
+            debug_assert!(h >= gvt, "horizon below the GVT stalls the round");
+            // The lane's next *performable* action (arrival floors are not
+            // performable until delivered).
+            let mut na = self.hint[i];
+            if self.drained[i] {
+                if let Some(&(arr, _)) = self.slots[i].first() {
+                    let w = arr.max(self.pos[i] + 1);
+                    na = Some(na.map_or(w, |x| x.min(w)));
+                }
+            }
+            if let Some(t) = na {
+                if t <= h {
+                    lanes.push((i, h, std::mem::take(&mut self.slots[i])));
+                }
+            }
+        }
+        debug_assert!(
+            !lanes.is_empty(),
+            "GVT <= cap must schedule at least the GVT lane"
+        );
+        Step::Round { lanes, gvt }
+    }
+
+    /// A quiescence run whose next event `g` lies past the cap: the serial
+    /// loop it reproduces ticks that one event before its limit check, so
+    /// the cap moves to `g` once. Declines when the cap is the crash cycle
+    /// (the phase ran through it) or the crash precedes `g` (the run lands
+    /// on the crash instead); panics on a second overrun.
+    fn extend(&mut self, g: u64) -> bool {
+        let Stop::Quiesce { limit } = self.stop else {
+            return false;
+        };
+        if Some(self.cap) == self.crash {
+            return false;
+        }
+        assert!(!self.extended, "machine did not quiesce within {limit} cycles");
+        if self.crash.is_some_and(|c| c < g) {
+            return false;
+        }
+        self.extended = true;
+        self.cap = g;
+        true
+    }
+
+    /// The exit step: flush the merger and pick the cycle every lane
+    /// finishes at.
+    fn finish(&mut self, merger: &mut EpochMerger, noc: &mut Noc, dry: bool) -> Step {
+        let (extra, _) = merger.commit(noc, None);
+        debug_assert!(
+            extra.iter().all(Vec::is_empty),
+            "staged sends survived past the cap"
+        );
+        debug_assert!(merger.is_drained(), "merger left unreconciled state");
+        let expect_idle = dry && self.quiescent.iter().all(|&q| q);
+        if expect_idle {
+            debug_assert!(
+                self.slots.iter().all(Vec::is_empty),
+                "quiescent exit with undelivered NoC traffic"
+            );
+        }
+        let to = match self.stop {
+            // A timed run lands on its cap: the target, or the crash.
+            Stop::At(_) => self.cap,
+            // Ran dry and quiescent: the last cycle any lane acted at.
+            Stop::Quiesce { .. } if expect_idle => {
+                self.pos.iter().copied().max().unwrap_or(self.now0)
+            }
+            // Still busy past the cap, which `extend` declined because of
+            // the crash; or wedged with no event left, where serial ticks
+            // on to the crash if it lies within the limit (or the cap).
+            Stop::Quiesce { limit } => match self.crash {
+                Some(c) if !dry || c == self.cap || c <= self.now0.saturating_add(limit) => c,
+                _ => panic!("machine did not quiesce within {limit} cycles (wedged worker)"),
+            },
+        };
+        Step::Finish { to, expect_idle }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the driver
+
+/// Where an epoch phase's lanes execute.
+pub(crate) trait Placement {
+    /// Run the scheduled lanes, each to its granted horizon. Returns every
+    /// scheduled lane's report and the round's merged traffic and trace.
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode);
+    /// Finish every lane at cycle `to`, closing the phase.
+    fn finish(&mut self, to: u64, expect_idle: bool);
+}
+
+/// The coordinator-side outcome of one phase.
+pub(crate) struct Drive {
+    pub(crate) to: u64,
+    pub(crate) rounds: u64,
+    /// Deliveries routed but never handed to a lane.
+    pub(crate) slots: Vec<Vec<(u64, Packet)>>,
+}
+
+/// The one epoch-phase driver: step the coordinator until it declares the
+/// phase over, running each round on `place`, committing its traffic, and
+/// draining trace events to `sink` in serial order.
+pub(crate) fn drive(
+    place: &mut impl Placement,
+    mut coord: EpochCoordinator,
+    mut merger: EpochMerger,
+    noc: &mut Noc,
+    sink: &mut dyn TraceSink,
+) -> Drive {
+    let tracing = sink.enabled();
+    let mut trace_buf: Vec<(u64, u32, TxnEvent)> = Vec::new();
+    let mut rounds = 0;
+    loop {
+        match coord.next_step(&mut merger, noc) {
+            Step::Round { lanes, gvt } => {
+                // Trace events below the GVT are final in serial order.
+                if tracing {
+                    let cut = trace_buf.partition_point(|&(c, _, _)| c < gvt);
+                    for (_, _, ev) in trace_buf.drain(..cut) {
+                        sink.txn(&ev);
+                    }
+                }
+                let (outs, root) = place.run(lanes);
+                for (i, out) in &outs {
+                    coord.note_out(*i, out);
+                }
+                merger.absorb(noc, root.batch);
+                trace_buf = merge_traces(std::mem::take(&mut trace_buf), root.trace);
+                rounds += 1;
+            }
+            Step::Finish { to, expect_idle } => {
+                for (_, _, ev) in trace_buf.drain(..) {
+                    sink.txn(&ev);
+                }
+                place.finish(to, expect_idle);
+                return Drive {
+                    to,
+                    rounds,
+                    slots: coord.slots,
+                };
+            }
+        }
+    }
+}
+
+impl Machine {
+    /// [`Machine::advance`] on the lane engine: one epoch phase over the
+    /// threaded or the fleet placement, run through its stop cycle. The
+    /// caller has ruled out a crashed machine and a quiescence run on a
+    /// quiescent one.
+    pub(crate) fn run_lanes(&mut self, limit: u64, quiesce: bool) -> u64 {
+        let start = self.now;
+        let stop = if quiesce {
+            assert!(limit > 0, "machine did not quiesce within 0 cycles");
+            Stop::Quiesce { limit }
+        } else {
+            Stop::At(start + limit)
+        };
+        // A crash cycle already behind the clock fires on the next tick.
+        let crash = self.fault_plan.crash_at.map(|c| c.max(start + 1));
+        if self.fleet_chips > 1 && self.fleet.is_none() {
+            self.fleet_spawn();
+        }
+        // The merger's depth mirror must be captured before `begin_epoch`
+        // detaches the delivery queues.
+        let merger = EpochMerger::new(&self.noc);
+        let links = self.noc.begin_epoch();
+        let (end, links, acts) = if self.fleet.is_some() {
+            self.fleet_phase(links, stop, crash, merger)
+        } else {
+            self.thread_phase(links, stop, crash, merger)
+        };
+
+        for (la, a) in self.lane_activity.iter_mut().zip(&acts) {
+            la.absorb(a);
+        }
+        // On the lane engine a "tick" is one *component* tick (a single
+        // worker at a single cycle) rather than one whole-machine cycle —
+        // like strict-vs-fast, the unit measures the simulator.
+        self.ticks_executed += acts.iter().map(|a| a.ticks).sum::<u64>();
+        self.epoch_rounds += end.rounds;
+        self.noc.absorb_epoch(links, end.slots);
+        self.now = end.to;
+        if crash == Some(end.to) {
+            self.crashed = true;
+            if let Some(mut hook) = self.crash_hook.take() {
+                self.crash_image = Some(hook(self));
+            }
+        }
+        self.now - start
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the threaded placement
+
 /// The hierarchical merge: a heap-indexed binary combining tree. Leaves
 /// live at `[m, 2m)`, internal nodes at `[1, m)`, the root at 1. A thread
 /// deposits its finished lane's [`RoundNode`] at its claimed leaf and
@@ -220,10 +757,6 @@ impl MergeTree {
             arrivals: (0..m).map(|_| AtomicUsize::new(0)).collect(),
             m,
         }
-    }
-
-    fn leaves(&self) -> usize {
-        self.m
     }
 
     /// Coordinator-only, between rounds: rearm the arrival counters.
@@ -276,9 +809,7 @@ enum Cmd {
     /// Claim lanes off the shared schedule and run each to its granted
     /// per-lane horizon.
     Run,
-    /// Claim lanes, top each up to cycle `to`, and exit. `expect_idle`
-    /// asserts the machine is quiescent (the audit for the serial loop's
-    /// exit).
+    /// Claim lanes, finish each at cycle `to`, and exit.
     Finish { to: u64, expect_idle: bool },
 }
 
@@ -356,642 +887,237 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The earliest cycle `> lane.pos` at which this lane has an event: its
-/// worker's own next event, its bank's next completion, or its queue
-/// front becoming deliverable — the per-worker slice of the serial
-/// scheduler's global `next_event`.
-///
-/// One deliberate asymmetry: a *quiescent* worker with no queued NoC
-/// deliveries never wakes for bank-only events. Those are orphan
-/// responses to requests whose transactions already retired (aborts
-/// abandon in-flight reads); the serial loop exits at machine quiescence
-/// with such responses still in flight, so a lane that kept ticking to
-/// drain them would over-account idle cycles past the serial exit cycle.
-/// Delivering and draining an orphan is stat-neutral, so *when* it
-/// happens (here: only while the lane is otherwise active) is invisible.
-/// (Posted-write acknowledgements no longer reach this path at all: the
-/// banks cancel them at completion.)
-pub(crate) fn lane_next(lane: &Lane<'_>, link: &EpochLink) -> Option<u64> {
-    let link_next = link.next_ready(lane.pos);
-    if link_next.is_none() && lane.worker.is_quiescent() {
-        return None;
-    }
-    if lane.bank.has_buffered_responses() {
-        return Some(lane.pos + 1);
-    }
-    let mut best = lane.worker.next_event(lane.pos);
-    if let Some(t) = lane.bank.next_event() {
-        let t = t.max(lane.pos + 1);
-        best = Some(best.map_or(t, |b| b.min(t)));
-    }
-    if let Some(t) = link_next {
-        best = Some(best.map_or(t, |b| b.min(t)));
-    }
-    best
+/// A lane plus what the coordinator collects from it after a round.
+struct LaneCell<'a> {
+    lane: Lane<'a>,
+    link: EpochLink,
+    out: Option<LaneOut>,
+    /// When the claiming thread finished this lane — the coordinator turns
+    /// it into per-lane barrier idle time.
+    done_at: Option<Instant>,
 }
 
-/// Run one lane through one round: fast-forward from event to event,
-/// ticking every cycle `<= horizon` at which the lane could act. Returns
-/// the lane's exit hint.
-pub(crate) fn run_round(
-    lane: &mut Lane<'_>,
-    link: &mut EpochLink,
-    horizon: u64,
-    cat: &Catalogue,
+/// Everything the threads of one phase share.
+struct Crew<'a> {
+    cells: Vec<Mutex<LaneCell<'a>>>,
+    /// The current round's schedule; a claimer takes entry `k`'s pending
+    /// deliveries.
+    sched: Mutex<Vec<RoundEntry>>,
+    cursor: AtomicUsize,
+    tree: MergeTree,
+    gate: Gate,
+    cmd: Mutex<Cmd>,
+    cat: &'a Catalogue,
     tracing: bool,
-) -> Option<u64> {
-    loop {
-        match lane_next(lane, link) {
-            Some(t) if t <= horizon => {
-                let k = t - lane.pos - 1;
-                if k > 0 {
-                    lane.worker.skip(k);
-                    lane.skips += k;
-                }
-                lane.pos = t;
-                lane.ticks += 1;
-                lane.bank.tick(t);
-                lane.worker.tick(t, lane.bank, cat, link, lane.tables);
-                if tracing {
-                    for ev in lane.worker.softcore.drain_trace() {
-                        lane.trace.push((t, ev));
-                    }
-                }
-            }
-            other => break other,
-        }
-    }
 }
 
-/// Top a lane up to the common exit cycle. With `expect_idle` (the
-/// coordinator determined the machine is quiescent) this also audits that
-/// nothing was left behind — the parallel counterpart of the serial
-/// loop's `is_quiescent` exit check.
-pub(crate) fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect_idle: bool) {
-    debug_assert!(to >= lane.pos, "finish target behind lane position");
-    if to > lane.pos {
-        lane.worker.skip(to - lane.pos);
-        lane.skips += to - lane.pos;
-        lane.pos = to;
-    }
-    if expect_idle {
-        debug_assert!(
-            lane.worker.is_quiescent(),
-            "quiescent finish with a busy worker"
-        );
-        // Note: the DRAM bank may legitimately still hold in-flight or
-        // buffered *orphan* responses here — serial exits at machine
-        // quiescence without waiting for them (see `lane_next`).
-        debug_assert!(
-            link.next_ready(to).is_none(),
-            "quiescent finish with a queued NoC delivery"
-        );
-    }
-}
-
-/// The work-stealing loop every thread (coordinator included) runs during
-/// a round: claim the next scheduled lane off the shared cursor, run it to
-/// its granted horizon, and deposit its traffic/trace into the combining
-/// tree at the claimed slot.
-fn run_claimed(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    tree: &MergeTree,
-    cat: &Catalogue,
-    tracing: bool,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::SeqCst);
-        let idx = {
-            let sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-            match sch.get(k) {
-                Some(&i) => i,
-                None => break,
-            }
-        };
-        let mut guard = cells[idx].lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = &mut *guard;
-        let pending = std::mem::take(&mut cell.pending);
-        cell.link.begin_round(pending);
-        let horizon = cell.horizon;
-        cell.lane.rounds += 1;
-        cell.lane.epoch_len.record(horizon - cell.lane.pos);
-        let hint = run_round(&mut cell.lane, &mut cell.link, horizon, cat, tracing);
-        let traffic = cell.link.harvest();
-        let drained = traffic.queue_drained();
-        let lane_id = cell.lane.idx as u32;
-        let trace: Vec<(u64, u32, TxnEvent)> = cell
-            .lane
-            .trace
-            .drain(..)
-            .map(|(c, ev)| (c, lane_id, ev))
-            .collect();
-        cell.out = Some(LaneOut {
-            hint,
-            pos: cell.lane.pos,
-            quiescent: cell.lane.worker.is_quiescent(),
-            drained,
-        });
-        cell.done_at = Some(Instant::now());
-        drop(guard);
-        tree.deposit(
-            k,
-            RoundNode {
-                batch: StagedBatch::from_traffic(traffic),
-                trace,
-            },
-        );
-    }
-}
-
-/// The claim loop for the exit command: top every lane up to `to`.
-fn finish_claimed(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    to: u64,
-    expect_idle: bool,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::SeqCst);
-        let idx = {
-            let sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-            match sch.get(k) {
-                Some(&i) => i,
-                None => break,
-            }
-        };
-        let mut guard = cells[idx].lock().unwrap_or_else(PoisonError::into_inner);
-        let cell = &mut *guard;
-        finish_lane(&mut cell.lane, &cell.link, to, expect_idle);
-    }
-}
-
-/// The loop a spawned worker thread runs: wait for a command, claim work,
-/// repeat until `Finish`.
-#[allow(clippy::too_many_arguments)]
-fn participant(
-    cells: &[Mutex<LaneCell<'_>>],
-    sched: &Mutex<Vec<usize>>,
-    cursor: &AtomicUsize,
-    tree: &MergeTree,
-    gate: &Gate,
-    cmd: &Mutex<Cmd>,
-    cat: &Catalogue,
-    tracing: bool,
-) {
-    loop {
-        gate.wait();
-        let c = *cmd.lock().unwrap_or_else(PoisonError::into_inner);
-        match c {
-            Cmd::Run => {
-                run_claimed(cells, sched, cursor, tree, cat, tracing);
-                gate.wait();
-            }
-            Cmd::Finish { to, expect_idle } => {
-                finish_claimed(cells, sched, cursor, to, expect_idle);
-                return;
-            }
-        }
-    }
-}
-
-/// One scheduled lane in a barrier round:
-/// `(lane index, granted horizon, deliveries routed since it last ran)`.
-pub(crate) type RoundEntry = (usize, u64, Vec<(u64, Packet)>);
-
-/// What the coordinator decided for the next barrier round.
-pub(crate) enum Step {
-    /// Run the listed lanes, each to its granted horizon, delivering the
-    /// attached pending packets first. `gvt` is the round's commit bound:
-    /// buffered trace events below it are final in serial order.
-    Round { lanes: Vec<RoundEntry>, gvt: u64 },
-    /// The epoch phase is over: top every lane up to `to` and hand control
-    /// back to the serial loop. `gvt` is the exit bound — `None` means the
-    /// machine ran dry, `Some(g)` (necessarily `> cap`) means the cap ended
-    /// the phase; the fleet engine uses that to place a crash cycle.
-    Finish {
-        to: u64,
-        expect_idle: bool,
-        gvt: Option<u64>,
-    },
-}
-
-/// The coordinator-side scheduling brain of one epoch phase — GVT
-/// fixpoint, staged-send commits, Bellman-Ford earliest-action relaxation,
-/// per-lane horizon grants — with *no* opinion about how lanes actually
-/// execute. [`Machine::run_epochs`] drives it with scoped threads over
-/// in-process lanes; the fleet engine (`machine/fleet.rs`) drives the very
-/// same object over chip processes, which is what makes the two engines
-/// bit-identical by construction rather than by parallel maintenance.
-pub(crate) struct EpochCoordinator {
-    n: usize,
-    pub(crate) cap: u64,
-    now0: u64,
-    /// Per-lane exit hints, refreshed from [`LaneOut`] at each barrier.
-    hint: Vec<Option<u64>>,
-    pub(crate) pos: Vec<u64>,
-    drained: Vec<bool>,
-    quiescent: Vec<bool>,
-    /// Deliveries routed but not yet handed to a scheduled lane.
-    slots: Vec<Vec<(u64, Packet)>>,
-    base: Vec<Option<u64>>,
-    floors: Vec<Option<u64>>,
-    /// The last round's GVT (strict-increase audit + exit reporting). The
-    /// fleet engine resets it when it extends the cap for the post-cap
-    /// mop-up round, since that round legitimately re-derives the same
-    /// bound the capped exit reported.
-    pub(crate) prev_gvt: Option<u64>,
-}
-
-impl EpochCoordinator {
-    /// Build from the phase-entry snapshot: one `(hint, drained,
-    /// quiescent)` triple per lane, captured right after
-    /// [`Noc::begin_epoch`] detached the links.
-    pub(crate) fn new(cap: u64, now0: u64, init: Vec<(Option<u64>, bool, bool)>) -> Self {
-        let n = init.len();
-        let mut hint = Vec::with_capacity(n);
-        let mut drained = Vec::with_capacity(n);
-        let mut quiescent = Vec::with_capacity(n);
-        for (h, d, q) in init {
-            hint.push(h);
-            drained.push(d);
-            quiescent.push(q);
-        }
-        EpochCoordinator {
-            n,
-            cap,
-            now0,
-            hint,
-            pos: vec![now0; n],
-            drained,
-            quiescent,
-            slots: (0..n).map(|_| Vec::new()).collect(),
-            base: vec![None; n],
-            floors: vec![None; n],
-            prev_gvt: None,
-        }
+impl<'a> Crew<'a> {
+    /// Claim the next cursor slot.
+    fn claim(&self) -> usize {
+        self.cursor.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Absorb one scheduled lane's barrier report.
-    pub(crate) fn note_out(&mut self, i: usize, out: &LaneOut) {
-        self.hint[i] = out.hint;
-        self.pos[i] = out.pos;
-        self.drained[i] = out.drained;
-        self.quiescent[i] = out.quiescent;
+    fn cell(&self, i: usize) -> std::sync::MutexGuard<'_, LaneCell<'a>> {
+        self.cells[i].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The undelivered routed packets, surrendered at phase exit for
-    /// [`Noc::absorb_epoch`].
-    pub(crate) fn take_slots(&mut self) -> Vec<Vec<(u64, Packet)>> {
-        std::mem::take(&mut self.slots)
-    }
-
-    /// Decide the next round: run the GVT fixpoint (committing staged
-    /// sends below the bound until no commit can raise it), then either
-    /// grant horizons and schedule every lane with work, or declare the
-    /// phase over. See the module docs for the full argument.
-    pub(crate) fn next_step(&mut self, merger: &mut EpochMerger, noc: &mut Noc) -> Step {
-        let n = self.n;
-        let pid = |i: usize| PartitionId(i as u16);
-        // ---- GVT fixpoint: commit staged sends below the bound until no
-        // commit can raise it further ----
-        let gvt = loop {
-            let floors_now = merger.arrival_floors(noc);
-            let mut g: Option<u64> = None;
-            for (i, &floor) in floors_now.iter().enumerate() {
-                let mut b = self.hint[i];
-                if self.drained[i] {
-                    if let Some(&(arr, _)) = self.slots[i].first() {
-                        let w = arr.max(self.pos[i] + 1);
-                        b = Some(b.map_or(w, |x| x.min(w)));
-                    }
-                }
-                if let Some(f) = floor {
-                    let w = f.max(self.pos[i] + 1);
-                    b = Some(b.map_or(w, |x| x.min(w)));
-                }
-                self.base[i] = b;
-                if let Some(t) = b {
-                    g = Some(g.map_or(t, |x| x.min(t)));
-                }
-            }
-            self.floors = floors_now;
-            let Some(g) = g else { break None };
-            let (deliv, committed) = merger.commit(noc, Some(g));
-            for (w, d) in deliv.into_iter().enumerate() {
-                for (arr, pkt) in d {
-                    debug_assert!(
-                        arr > self.pos[w],
-                        "delivery at {arr} behind lane {w} at {}",
-                        self.pos[w]
-                    );
-                    self.slots[w].push((arr, pkt));
-                }
-            }
-            if committed == 0 {
-                break Some(g);
-            }
-        };
-        debug_assert!(
-            self.prev_gvt.is_none_or(|p| gvt.is_none_or(|g| g > p)),
-            "GVT must strictly increase across rounds"
-        );
-        self.prev_gvt = gvt;
-
-        let Some(gvt) = gvt.filter(|&g| g <= self.cap) else {
-            // ---- exit: flush the merger, pick the common top-up cycle ----
-            let (extra, _) = merger.commit(noc, None);
-            debug_assert!(
-                extra.iter().all(Vec::is_empty),
-                "staged sends survived past the cap"
-            );
-            debug_assert!(merger.is_drained(), "merger left unreconciled state");
-            let to = self.pos.iter().copied().max().unwrap_or(self.now0);
-            let expect_idle = self.quiescent.iter().all(|&q| q) && self.prev_gvt.is_none();
-            if expect_idle {
-                debug_assert!(
-                    self.slots.iter().all(Vec::is_empty),
-                    "quiescent exit with undelivered NoC traffic"
-                );
-            }
-            return Step::Finish {
-                to,
-                expect_idle,
-                gvt: self.prev_gvt,
-            };
-        };
-
-        // ---- earliest-action fixpoint (Bellman-Ford over the lookahead
-        // matrix): A_j bounds the earliest cycle lane j can still act —
-        // and therefore send — at, including being woken through a chain
-        // of nearer lanes ----
-        let mut act = self.base.clone();
+    /// The work-stealing loop every thread (coordinator included) runs
+    /// during a round: claim the next scheduled lane, step it, and deposit
+    /// its traffic/trace into the combining tree at the claimed slot.
+    fn run_claimed(&self) {
         loop {
-            let mut changed = false;
-            for j in 0..n {
-                for k in 0..n {
-                    if k == j {
-                        continue;
-                    }
-                    if let Some(ak) = act[k] {
-                        let via = ak.saturating_add(noc.min_latency(pid(k), pid(j)));
-                        if act[j].is_none_or(|aj| via < aj) {
-                            act[j] = Some(via);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
+            let k = self.claim();
+            let entry = {
+                let mut sch = self.sched.lock().unwrap_or_else(PoisonError::into_inner);
+                sch.get_mut(k)
+                    .map(|e| (e.0, e.1, std::mem::take(&mut e.2)))
+            };
+            let Some((i, horizon, pending)) = entry else {
+                break;
+            };
+            let mut guard = self.cell(i);
+            let cell = &mut *guard;
+            let (out, node) = step_lane(
+                &mut cell.lane,
+                &mut cell.link,
+                horizon,
+                pending,
+                self.cat,
+                self.tracing,
+            );
+            cell.out = Some(out);
+            cell.done_at = Some(Instant::now());
+            drop(guard);
+            self.tree.deposit(k, node);
+        }
+    }
+
+    /// The claim loop for the exit command: finish every lane at `to`.
+    fn finish_claimed(&self, to: u64, expect_idle: bool) {
+        loop {
+            let k = self.claim();
+            if k >= self.cells.len() {
                 break;
             }
+            let mut guard = self.cell(k);
+            let cell = &mut *guard;
+            finish_lane(&mut cell.lane, &cell.link, to, expect_idle);
         }
+    }
 
-        // ---- grant horizons, schedule lanes with work ----
-        let mut lanes: Vec<RoundEntry> = Vec::new();
-        for i in 0..n {
-            // No send any lane can still make, and no send already staged,
-            // arrives at i by H_i.
-            let mut bound = self.floors[i];
-            for (j, aj) in act.iter().enumerate() {
-                if j == i {
-                    continue;
+    /// The loop a spawned thread runs: wait for a command, claim work,
+    /// repeat until `Finish`.
+    fn participate(&self) {
+        let _guard = PanicGuard(&self.gate);
+        loop {
+            self.gate.wait();
+            let c = *self.cmd.lock().unwrap_or_else(PoisonError::into_inner);
+            match c {
+                Cmd::Run => {
+                    self.run_claimed();
+                    self.gate.wait();
                 }
-                if let Some(aj) = aj {
-                    let arr = aj.saturating_add(noc.min_latency(pid(j), pid(i)));
-                    bound = Some(bound.map_or(arr, |b| b.min(arr)));
-                }
-            }
-            let h = bound
-                .map_or(self.cap, |b| b.saturating_sub(1))
-                .min(self.cap);
-            debug_assert!(h >= gvt, "horizon below the GVT stalls the round");
-            // The lane's next *performable* action (arrival floors are not
-            // performable until delivered).
-            let mut na = self.hint[i];
-            if self.drained[i] {
-                if let Some(&(arr, _)) = self.slots[i].first() {
-                    let w = arr.max(self.pos[i] + 1);
-                    na = Some(na.map_or(w, |x| x.min(w)));
-                }
-            }
-            if let Some(t) = na {
-                if t <= h {
-                    lanes.push((i, h, std::mem::take(&mut self.slots[i])));
+                Cmd::Finish { to, expect_idle } => {
+                    self.finish_claimed(to, expect_idle);
+                    return;
                 }
             }
         }
-        debug_assert!(
-            !lanes.is_empty(),
-            "GVT <= cap must schedule at least the GVT lane"
-        );
-        Step::Round { lanes, gvt }
+    }
+
+    /// Publish a command and release the spawned threads into it.
+    fn release(&self, cmd: Cmd) {
+        self.cursor.store(0, Ordering::SeqCst);
+        *self.cmd.lock().unwrap_or_else(PoisonError::into_inner) = cmd;
+        self.gate.wait();
+    }
+}
+
+/// The threaded placement: lanes on scoped threads, spawned at the first
+/// round (a phase with no rounds runs on the calling thread alone).
+struct Threads<'c, 'scope, 'env, 'a> {
+    scope: &'scope Scope<'scope, 'env>,
+    crew: &'c Crew<'a>,
+    threads: usize,
+    spawned: bool,
+}
+
+impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Placement for Threads<'c, 'scope, 'env, 'a> {
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode) {
+        let crew = self.crew;
+        if !self.spawned {
+            for _ in 1..self.threads {
+                self.scope.spawn(move || crew.participate());
+            }
+            self.spawned = true;
+        }
+        let round: Vec<usize> = lanes.iter().map(|&(i, _, _)| i).collect();
+        *crew.sched.lock().unwrap_or_else(PoisonError::into_inner) = lanes;
+        crew.tree.reset();
+        for leaf in round.len()..crew.tree.m {
+            crew.tree.deposit(leaf, RoundNode::empty());
+        }
+        crew.release(Cmd::Run);
+        crew.run_claimed();
+        crew.gate.wait(); // all results in
+        let barrier_end = Instant::now();
+        let outs = round
+            .into_iter()
+            .map(|i| {
+                let mut cell = crew.cell(i);
+                if let Some(done) = cell.done_at.take() {
+                    cell.lane.act.barrier_idle_ns +=
+                        barrier_end.duration_since(done).as_nanos() as u64;
+                }
+                (i, cell.out.take().expect("scheduled lane reported"))
+            })
+            .collect();
+        (outs, crew.tree.take_root())
+    }
+
+    fn finish(&mut self, to: u64, expect_idle: bool) {
+        let cmd = Cmd::Finish { to, expect_idle };
+        if self.spawned {
+            self.crew.release(cmd);
+        } else {
+            self.crew.cursor.store(0, Ordering::SeqCst);
+        }
+        self.crew.finish_claimed(to, expect_idle);
     }
 }
 
 impl Machine {
-    /// The epoch-parallel phase of [`Machine::run_to_quiescence_limit`]:
-    /// advance the machine as far as the lookahead allows on
-    /// `sim_threads` real threads, bit-exactly, then return so the serial
-    /// loop can apply its uniform exit conditions. See the module docs and
-    /// DESIGN.md §11 for the argument.
-    pub(crate) fn run_epochs(&mut self, start: u64, limit: u64) {
-        if limit == 0 || self.is_quiescent() {
-            return;
-        }
-        // Never run at or past the crash cycle: the crash cycle must be
-        // *ticked* (by the serial loop) so the crash-instant state and the
-        // hook's durable snapshot are bit-identical to a serial run.
-        let mut cap = start.saturating_add(limit) - 1;
-        if let Some(c) = self.fault_plan.crash_at {
-            if c <= self.now + 1 {
-                return;
-            }
-            cap = cap.min(c - 1);
-        }
-        let t0 = if self.any_buffered_responses() {
-            Some(self.now + 1)
-        } else {
-            self.next_event()
-        };
-        let Some(t0) = t0 else { return };
-        if t0 > cap {
-            return;
-        }
-
+    /// One phase on `sim_threads` in-process threads. Returns the drive
+    /// outcome plus every lane's link and activity, in lane order.
+    fn thread_phase(
+        &mut self,
+        links: Vec<EpochLink>,
+        stop: Stop,
+        crash: Option<u64>,
+        merger: EpochMerger,
+    ) -> (Drive, Vec<EpochLink>, Vec<LaneActivity>) {
+        let now0 = self.now;
         let n = self.workers.len();
         let threads = self.sim_threads.min(n);
         let tracing = self.trace_sink.enabled();
-        let now0 = self.now;
         // Split the machine into disjoint per-worker lanes. The host DRAM
         // view, catalogue, NoC, and trace sink stay with the coordinator.
-        let cat = &self.cat;
-        let noc = &mut self.noc;
-        let sink = &mut self.trace_sink;
-        // The merger's depth mirror must be captured before `begin_epoch`
-        // detaches the delivery queues.
-        let mut merger = EpochMerger::new(noc);
-        let links: Vec<EpochLink> = noc.begin_epoch();
-
-        // Coordinator-side per-lane state lives in the EpochCoordinator,
-        // refreshed from LaneOut at each barrier (stale-safe for
-        // unscheduled lanes: nothing they own changes while they sit out).
-        let mut init: Vec<(Option<u64>, bool, bool)> = Vec::with_capacity(n);
-        let mut idle_ns: Vec<u64> = vec![0; n];
-
-        let cells: Vec<Mutex<LaneCell<'_>>> = self
-            .workers
+        let Machine {
+            workers,
+            banks,
+            partitions,
+            cat,
+            noc,
+            trace_sink,
+            ..
+        } = self;
+        let mut init = Vec::with_capacity(n);
+        let cells = workers
             .iter_mut()
-            .zip(self.banks.iter_mut())
-            .zip(self.partitions.iter_mut())
+            .zip(banks.iter_mut())
+            .zip(partitions.iter_mut())
             .zip(links)
             .enumerate()
             .map(|(idx, (((worker, bank), part), link))| {
-                let lane = Lane {
-                    idx,
-                    worker,
-                    bank,
-                    tables: &mut part.tables,
-                    pos: now0,
-                    ticks: 0,
-                    skips: 0,
-                    rounds: 0,
-                    epoch_len: LatencyHistogram::new(),
-                    trace: Vec::new(),
-                };
-                init.push((
-                    lane_next(&lane, &link),
-                    link.next_ready(now0).is_none(),
-                    lane.worker.is_quiescent(),
-                ));
+                let lane = Lane::new(idx, worker, bank, &mut part.tables, now0);
+                init.push(LaneOut::entry(&lane, &link));
                 Mutex::new(LaneCell {
                     lane,
                     link,
-                    pending: Vec::new(),
-                    horizon: now0,
                     out: None,
                     done_at: None,
                 })
             })
             .collect();
-        let mut coord = EpochCoordinator::new(cap, now0, init);
-
-        let gate = Gate::new(threads);
-        let cmd_slot: Mutex<Cmd> = Mutex::new(Cmd::Run);
-        let sched: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let cursor = AtomicUsize::new(0);
-        let tree = MergeTree::new(n);
-        let mut rounds_done = 0u64;
-        let mut trace_buf: Vec<(u64, u32, TxnEvent)> = Vec::new();
-
-        let (slots, to) = std::thread::scope(|s| {
-            for _ in 1..threads {
-                let (cells, sched, cursor, tree, gate, cmd_slot) =
-                    (&cells, &sched, &cursor, &tree, &gate, &cmd_slot);
-                s.spawn(move || {
-                    let _guard = PanicGuard(gate);
-                    participant(cells, sched, cursor, tree, gate, cmd_slot, cat, tracing);
-                });
-            }
-
-            let _guard = PanicGuard(&gate);
-            loop {
-                match coord.next_step(&mut merger, noc) {
-                    Step::Finish {
-                        to, expect_idle, ..
-                    } => {
-                        // ---- exit: drain traces, top all lanes up to the
-                        // common cycle ----
-                        if tracing {
-                            for (_, _, ev) in trace_buf.drain(..) {
-                                sink.txn(&ev);
-                            }
-                        }
-                        {
-                            let mut sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-                            sch.clear();
-                            sch.extend(0..n);
-                        }
-                        cursor.store(0, Ordering::SeqCst);
-                        *cmd_slot.lock().unwrap_or_else(PoisonError::into_inner) =
-                            Cmd::Finish { to, expect_idle };
-                        gate.wait(); // release peers into Finish
-                        finish_claimed(&cells, &sched, &cursor, to, expect_idle);
-                        break (coord.take_slots(), to);
-                    }
-                    Step::Round { lanes, gvt } => {
-                        // Trace events below the GVT are final in serial
-                        // order.
-                        if tracing {
-                            let cut = trace_buf.partition_point(|&(c, _, _)| c < gvt);
-                            for (_, _, ev) in trace_buf.drain(..cut) {
-                                sink.txn(&ev);
-                            }
-                        }
-                        let round_lanes: Vec<usize> = lanes.iter().map(|&(i, _, _)| i).collect();
-                        for (i, horizon, pending) in lanes {
-                            let mut cell =
-                                cells[i].lock().unwrap_or_else(PoisonError::into_inner);
-                            cell.horizon = horizon;
-                            cell.pending = pending;
-                        }
-                        {
-                            let mut sch = sched.lock().unwrap_or_else(PoisonError::into_inner);
-                            sch.clear();
-                            sch.extend_from_slice(&round_lanes);
-                        }
-                        cursor.store(0, Ordering::SeqCst);
-                        tree.reset();
-                        for leaf in round_lanes.len()..tree.leaves() {
-                            tree.deposit(leaf, RoundNode::empty());
-                        }
-                        *cmd_slot.lock().unwrap_or_else(PoisonError::into_inner) = Cmd::Run;
-                        gate.wait(); // release the round
-                        run_claimed(&cells, &sched, &cursor, &tree, cat, tracing);
-                        gate.wait(); // all results in
-                        rounds_done += 1;
-
-                        let barrier_end = Instant::now();
-                        for &i in &round_lanes {
-                            let mut cell =
-                                cells[i].lock().unwrap_or_else(PoisonError::into_inner);
-                            let out = cell.out.take().expect("scheduled lane reported");
-                            coord.note_out(i, &out);
-                            if let Some(done) = cell.done_at.take() {
-                                idle_ns[i] += barrier_end.duration_since(done).as_nanos() as u64;
-                            }
-                        }
-                        let root = tree.take_root();
-                        merger.absorb(noc, root.batch);
-                        trace_buf = merge_traces(std::mem::take(&mut trace_buf), root.trace);
-                    }
-                }
-            }
+        let crew = Crew {
+            cells,
+            sched: Mutex::new(Vec::new()),
+            cursor: AtomicUsize::new(0),
+            tree: MergeTree::new(n),
+            gate: Gate::new(threads),
+            cmd: Mutex::new(Cmd::Run),
+            cat,
+            tracing,
+        };
+        let coord = EpochCoordinator::new(now0, stop, crash, init);
+        let end = std::thread::scope(|scope| {
+            let _guard = PanicGuard(&crew.gate);
+            let mut place = Threads {
+                scope,
+                crew: &crew,
+                threads,
+                spawned: false,
+            };
+            drive(&mut place, coord, merger, noc, trace_sink.as_mut())
         });
-
-        let mut total_ticks = 0u64;
-        let mut links: Vec<EpochLink> = Vec::with_capacity(n);
-        for (i, cell) in cells.into_iter().enumerate() {
-            let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
-            total_ticks += cell.lane.ticks;
-            let la = &mut self.lane_activity[i];
-            la.ticks += cell.lane.ticks;
-            la.skips += cell.lane.skips;
-            la.rounds += cell.lane.rounds;
-            la.barrier_idle_ns += idle_ns[i];
-            la.epoch_len.merge(&cell.lane.epoch_len);
-            debug_assert!(cell.pending.is_empty(), "undelivered pending at exit");
-            links.push(cell.link);
-        }
-        noc.absorb_epoch(links, slots);
-        self.now = to;
-        // In parallel mode a "tick" is one *component* tick (a single
-        // worker at a single cycle) rather than one whole-machine cycle —
-        // like strict-vs-fast, the unit deliberately measures the
-        // simulator, not the machine.
-        self.ticks_executed += total_ticks;
-        self.epoch_rounds += rounds_done;
+        let (links, acts) = crew
+            .cells
+            .into_iter()
+            .map(|c| {
+                let c = c.into_inner().unwrap_or_else(PoisonError::into_inner);
+                (c.link, c.lane.act)
+            })
+            .unzip();
+        (end, links, acts)
     }
 }

@@ -162,14 +162,6 @@ impl PartitionWorker {
             && self.pending_remote.is_empty()
     }
 
-    /// Number of submitted blocks waiting in the softcore's input queue —
-    /// admitted work the worker has not yet begun executing. The serving
-    /// front end (DESIGN.md §17) uses this to observe how streamed
-    /// injections distribute across partitions.
-    pub fn input_backlog(&self) -> usize {
-        self.softcore.input_len()
-    }
-
     /// Fast-forward support: the earliest future cycle at which this worker
     /// could make progress or mutate a statistic on its own — i.e. without
     /// a NoC delivery or DRAM completion, which the machine bounds

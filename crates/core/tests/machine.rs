@@ -419,10 +419,17 @@ fn staggered_injection_is_schedule_invariant() {
     // epoch-parallel scheduler. Each run replays the same arrival plan:
     // step the clock to the arrival cycle, inject, repeat, then step to a
     // fixed horizon so idle accounting and the report's `now` align.
+    //
+    // The crash inputs land a power loss inside a `step_until` span: at
+    // 1530 the transactions injected at 1500 and 1501 are in flight (and a
+    // worker acts on the crash cycle itself); at 3000 the machine idles
+    // between arrivals. Every schedule must freeze on the same cycle with
+    // the same report and durable bytes.
+    use bionicdb::{Checkpoint, CommandLog, DurableImage, FaultPlan};
     const ARRIVALS: [(u64, usize, u64); 6] =
         [(0, 0, 1), (0, 1, 2), (700, 0, 1), (1500, 1, 2), (1501, 0, 1), (4200, 1, 2)];
     const HORIZON: u64 = 1 << 16;
-    let run = |fast_forward: bool, threads: usize| {
+    let run = |fast_forward: bool, threads: usize, crash: Option<u64>| {
         let mut b = SystemBuilder::new(BionicConfig::small(2));
         let t = b.table(TableMeta::hash("kv", 8, 8, 1 << 8));
         let bump = b.proc(
@@ -438,26 +445,59 @@ fn staggered_injection_is_schedule_invariant() {
             db.loader(w)
                 .insert(t, &(w as u64 + 1).to_le_bytes(), &0u64.to_le_bytes());
         }
-        let mut blocks = Vec::new();
-        for (cycle, worker, key) in ARRIVALS {
+        let blocks: Vec<_> = ARRIVALS
+            .iter()
+            .map(|&(_, worker, _)| (worker, db.alloc_block(worker, 128)))
+            .collect();
+        if let Some(c) = crash {
+            db.set_fault_plan(FaultPlan::none().crash_at(c));
+            let logged = blocks.clone();
+            db.set_crash_hook(move |m| {
+                let mut log = CommandLog::new();
+                for &(w, blk) in &logged {
+                    log.capture(m, w, blk);
+                }
+                DurableImage {
+                    log: log.to_bytes(),
+                    checkpoint: Checkpoint::dump(m).to_bytes(),
+                }
+            });
+        }
+        for (&(cycle, _, key), &(worker, blk)) in ARRIVALS.iter().zip(&blocks) {
             db.step_until(cycle);
-            assert_eq!(db.now(), cycle, "step_until lands exactly on target");
-            let blk = db.alloc_block(worker, 128);
+            let landed = crash.map_or(cycle, |c| cycle.min(c));
+            assert_eq!(db.now(), landed, "step_until lands on its target or the crash");
             db.init_block(blk, bump);
             db.write_block_u64(blk, 0, key);
             db.inject_txn(worker, blk);
-            blocks.push(blk);
         }
         db.step_until(HORIZON);
-        assert_eq!(db.now(), HORIZON);
-        assert!(db.is_quiescent(), "horizon generously exceeds all work");
-        for blk in blocks {
-            assert!(db.block_status(blk).is_committed());
+        let committed = blocks
+            .iter()
+            .filter(|&&(_, blk)| db.block_status(blk).is_committed())
+            .count();
+        match crash {
+            None => {
+                assert_eq!(db.now(), HORIZON);
+                assert!(db.is_quiescent(), "horizon generously exceeds all work");
+                assert_eq!(committed, blocks.len());
+            }
+            Some(c) => {
+                assert!(db.is_crashed());
+                assert_eq!(db.now(), c, "the crash freezes the clock");
+            }
         }
-        db.report().to_json()
+        (db.report().to_json(), committed, db.take_crash_image())
     };
-    let strict = run(false, 1);
-    assert_eq!(strict, run(true, 1), "fast-forward diverged from strict");
-    assert_eq!(strict, run(true, 2), "epoch-parallel diverged from strict");
-    assert_eq!(strict, run(true, 4), "epoch-parallel(4) diverged from strict");
+    for crash in [None, Some(1530), Some(3000)] {
+        let strict = run(false, 1, crash);
+        assert_eq!(strict, run(true, 1, crash), "fast-forward diverged ({crash:?})");
+        assert_eq!(strict, run(true, 2, crash), "epoch-parallel diverged ({crash:?})");
+        assert_eq!(strict, run(true, 4, crash), "epoch-parallel(4) diverged ({crash:?})");
+        match crash {
+            Some(1530) => assert_eq!(strict.1, 3, "the crash caught 1500/1501 in flight"),
+            Some(_) => assert_eq!(strict.1, 5, "the idle-span crash lost nothing"),
+            None => {}
+        }
+    }
 }

@@ -1138,7 +1138,6 @@ impl Softcore {
         // group id distinct from the 0 = unbatched sentinel.
         let batch_group = match (self.params.batch_mode, op) {
             (BatchMode::Off, _) | (_, DbOp::Insert | DbOp::Scan) => 0,
-            (BatchMode::TxnLocal, _) => (1 << 63) | ctx.ts,
             (BatchMode::CrossTxn, _) => {
                 (1 << 63) | (self.stats.batches << 10) | (self.worker.0 as u64 & 0x3ff)
             }

@@ -29,16 +29,14 @@ pub struct CpSlot {
 ///
 /// Off (the default) is bit-inert: no request carries a batch group, the
 /// coprocessor never constructs the batch engine, and every golden gate
-/// stays byte-identical. The other two modes tag Search/Update/Remove
-/// requests with a nonzero `batch_group`; requests sharing a group id are
+/// stays byte-identical. `CrossTxn` tags Search/Update/Remove requests
+/// with a nonzero `batch_group`; requests sharing a group id are
 /// traversed together, one wave of DRAM reads per index level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
     /// No batching (bit-inert default).
     #[default]
     Off,
-    /// Group probes issued by the same transaction (same begin-ts).
-    TxnLocal,
     /// Group probes across co-resident transactions of one softcore batch.
     CrossTxn,
 }
