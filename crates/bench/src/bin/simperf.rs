@@ -236,9 +236,7 @@ fn push_lane_json(out: &mut String, lanes: &[LaneActivity]) {
 /// wall-clock gains no matter how parallel the schedule is.
 fn run_par_study(quick: bool, out_path: &str, history_path: &str) {
     let txns = if quick { 150 } else { 1_200 };
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let host_cpus = history::host_cpus();
 
     let serial = measure_par(1, txns);
     let matrix2 = measure_par(2, txns);

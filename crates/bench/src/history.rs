@@ -37,10 +37,14 @@ pub struct Entry {
     /// Optional memory-level-parallelism metric: peak outstanding DRAM
     /// reads on the busiest port (batchsweep rows; recorded, not gated).
     pub mlp_peak: Option<u64>,
+    /// CPUs available to the process that ran the bench (see
+    /// [`host_cpus`]); absent on rows recorded before it was kept.
+    pub host_cpus: Option<u64>,
 }
 
 impl Entry {
-    /// An entry carrying only the required fields.
+    /// An entry for a run on this host: the required fields plus the
+    /// host's CPU count.
     pub fn basic(bench: &str, cycles_per_sec: f64, unix_secs: u64) -> Entry {
         Entry {
             bench: bench.to_string(),
@@ -49,6 +53,7 @@ impl Entry {
             p99_ns: None,
             committed_cycles: None,
             mlp_peak: None,
+            host_cpus: Some(host_cpus()),
         }
     }
 
@@ -73,9 +78,17 @@ impl Entry {
         if let Some(mlp) = self.mlp_peak {
             s.push_str(&format!(",\"mlp_peak\":{mlp}"));
         }
+        if let Some(cpus) = self.host_cpus {
+            s.push_str(&format!(",\"host_cpus\":{cpus}"));
+        }
         s.push('}');
         s
     }
+}
+
+/// CPUs this process may run on (`available_parallelism`, 1 if unknown).
+pub fn host_cpus() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
 /// Wall clock now, Unix seconds (0 if the clock is before the epoch).
@@ -129,6 +142,7 @@ pub fn parse_line(line: &str) -> Option<Entry> {
     let p99_ns = field(line, "\"p99_ns\":").and_then(|v| v.parse().ok());
     let committed_cycles = field(line, "\"committed_cycles\":").and_then(|v| v.parse().ok());
     let mlp_peak = field(line, "\"mlp_peak\":").and_then(|v| v.parse().ok());
+    let host_cpus = field(line, "\"host_cpus\":").and_then(|v| v.parse().ok());
     Some(Entry {
         bench: bench.to_string(),
         cycles_per_sec,
@@ -136,6 +150,7 @@ pub fn parse_line(line: &str) -> Option<Entry> {
         p99_ns,
         committed_cycles,
         mlp_peak,
+        host_cpus,
     })
 }
 
@@ -322,15 +337,25 @@ mod tests {
         e.p99_ns = Some(1234.5);
         e.committed_cycles = Some(999_888);
         e.mlp_peak = Some(31);
+        e.host_cpus = Some(2);
         let parsed = parse_line(&e.render()).expect("parses");
         assert_eq!(parsed.p99_ns, Some(1234.5));
         assert_eq!(parsed.committed_cycles, Some(999_888));
         assert_eq!(parsed.mlp_peak, Some(31));
+        assert_eq!(parsed.host_cpus, Some(2));
         // Pre-schema line: optional fields absent, still parses.
         let old = "{\"bench\":\"a\",\"cycles_per_sec\":10.000,\"unix_secs\":1}";
         let parsed = parse_line(old).expect("old format parses");
         assert_eq!(parsed.p99_ns, None);
         assert_eq!(parsed.committed_cycles, None);
+        assert_eq!(parsed.host_cpus, None);
+    }
+
+    #[test]
+    fn new_entries_record_the_host() {
+        let e = entry("simperf-fast", 1.0, 1);
+        assert_eq!(e.host_cpus, Some(host_cpus()));
+        assert!(e.render().ends_with(&format!(",\"host_cpus\":{}}}", host_cpus())));
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub struct Loader<'a> {
     /// borrows of the partition and its DRAM, so nothing else can relink a
     /// tower behind its back; they therefore never outlive the loader.
     fingers: Vec<Option<Finger>>,
+    /// Scratch buffer each record is assembled in, so it reaches DRAM in
+    /// one host write.
+    record: Vec<u8>,
 }
 
 /// Where the last inserted key sits in one skiplist: at every level, the
@@ -119,6 +122,7 @@ impl<'a> Loader<'a> {
             dram,
             partition,
             fingers: Vec::new(),
+            record: Vec::new(),
         }
     }
 
@@ -138,14 +142,22 @@ impl<'a> Loader<'a> {
             "key length must match schema"
         );
         let key = IndexKey::from_bytes(key);
+        self.record.clear();
         match state.meta.kind {
-            IndexKind::Hash => Self::hash_insert(self.dram, state, key, payload),
+            IndexKind::Hash => Self::hash_insert(self.dram, state, &mut self.record, key, payload),
             IndexKind::Skiplist => {
                 let t = table.0 as usize;
                 if self.fingers.len() <= t {
                     self.fingers.resize_with(t + 1, || None);
                 }
-                Self::skiplist_insert(self.dram, state, &mut self.fingers[t], key, payload)
+                Self::skiplist_insert(
+                    self.dram,
+                    state,
+                    &mut self.fingers[t],
+                    &mut self.record,
+                    key,
+                    payload,
+                )
             }
         }
     }
@@ -159,14 +171,24 @@ impl<'a> Loader<'a> {
         }
     }
 
-    fn hash_insert(dram: &mut Dram, state: &mut TableState, key: IndexKey, payload: &[u8]) -> u64 {
+    /// Write the tuple `next | header | payload` (assembled in `record`) in
+    /// one host write, then point its bucket at it.
+    fn hash_insert(
+        dram: &mut Dram,
+        state: &mut TableState,
+        record: &mut Vec<u8>,
+        key: IndexKey,
+        payload: &[u8],
+    ) -> u64 {
         let bucket = bucket_of(sdbm_hash(key.as_bytes()), state.meta.hash_buckets);
         let bucket_addr = state.bucket_addr(bucket);
         let head = dram.host_read_u64(bucket_addr);
         let addr = state.alloc_tuple();
-        dram.host_write_u64(addr + TUPLE_NEXT, head);
-        dram.host_write(addr + TUPLE_HEADER, &Self::header(key).encode());
-        dram.host_write(addr + TUPLE_PAYLOAD, payload);
+        record.extend_from_slice(&head.to_le_bytes());
+        record.extend_from_slice(&Self::header(key).encode());
+        record.extend_from_slice(payload);
+        debug_assert_eq!(record.len() as u64, state.tuple_size());
+        dram.host_write(addr + TUPLE_NEXT, record);
         dram.host_write_u64(bucket_addr, addr);
         addr
     }
@@ -175,11 +197,14 @@ impl<'a> Loader<'a> {
     /// `key`, exactly where a walk from the head would. A key above the
     /// finger's climbs from the finger until the level whose successor is
     /// not below `key` (Pugh's search finger) and walks down from there;
-    /// any other key walks down from the head.
+    /// any other key walks down from the head. The tower
+    /// `header | height | nexts | payload` (assembled in `record`) is one
+    /// host write; the predecessors' next slots follow.
     fn skiplist_insert(
         dram: &mut Dram,
         state: &mut TableState,
         finger: &mut Option<Finger>,
+        record: &mut Vec<u8>,
         key: IndexKey,
         payload: &[u8],
     ) -> u64 {
@@ -216,12 +241,14 @@ impl<'a> Loader<'a> {
             at.succs[level] = next;
         }
         let addr = state.alloc_tower(h);
-        dram.host_write(addr, &Self::header(key).encode());
-        dram.host_write_u64(addr + TOWER_HEIGHT, h as u64);
-        for (level, &succ) in at.succs[..h].iter().enumerate() {
-            dram.host_write_u64(addr + TOWER_NEXTS + 8 * level as u64, succ);
+        record.extend_from_slice(&Self::header(key).encode());
+        record.extend_from_slice(&(h as u64).to_le_bytes());
+        for succ in &at.succs[..h] {
+            record.extend_from_slice(&succ.to_le_bytes());
         }
-        dram.host_write(addr + TableState::tower_payload_off(h), payload);
+        record.extend_from_slice(payload);
+        debug_assert_eq!(record.len() as u64, state.tower_size(h));
+        dram.host_write(addr, record);
         for (level, &pred) in at.preds[..h].iter().enumerate() {
             let slot = if pred == 0 {
                 state.head_next_addr(level)

@@ -25,51 +25,95 @@
 //! over PCIe before the run starts (§5.1 of the paper does exactly this).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::fault::DramFaults;
 use crate::timing::{Cycle, FpgaConfig};
 
-/// Size of one lazily-allocated memory page.
-const PAGE_SIZE: usize = 1 << 16;
+/// Bytes in one lazily allocated memory page.
+const PAGE_SIZE: usize = 1 << 12;
+
+/// Little-endian 8-byte words in one page.
+const PAGE_WORDS: usize = PAGE_SIZE / 8;
+
+/// Page slots in one lazily allocated directory segment (2 MiB of address
+/// space), so a 1 GiB image needs only 512 top-level slots.
+const SEGMENT_PAGES: usize = 1 << 9;
+
+/// One page: byte `8 * w + i` of the page is byte `i` of the little-endian
+/// encoding of word `w`.
+type Page = Box<[AtomicU64]>;
+
+/// One directory segment: [`SEGMENT_PAGES`] lazily allocated page slots.
+type Segment = Box<[OnceLock<Page>]>;
 
 /// The functional byte image, shared between a [`Dram`] and every bank
-/// created from it with [`Dram::bank`]. Pages are lazily allocated on first
-/// write ([`OnceLock`] makes the allocation race-free) and hold [`AtomicU8`]
-/// so banks on different threads can touch memory without `unsafe`.
+/// created from it with [`Dram::bank`]. Pages are words of [`AtomicU64`],
+/// so banks on different threads can touch memory without `unsafe`. They
+/// sit behind a two-level directory, segments of page slots, and both
+/// levels are allocated (zeroed) on first write; [`OnceLock`] makes each
+/// allocation race-free.
 ///
 /// All accesses use [`Ordering::Relaxed`]: the epoch-parallel scheduler
 /// guarantees that any two accesses to the *same* byte from different
 /// workers are separated by an epoch barrier (a message must cross the NoC
 /// first, and the barrier's lock provides the happens-before edge), so the
-/// atomics only have to make the byte-level sharing defined, not ordered.
+/// atomics only have to make the sharing defined, not ordered. Different
+/// workers may write different bytes of one word concurrently, which is why
+/// a write that covers only part of a word is a masked `fetch_update` of
+/// just its own bytes rather than a load and a store of the whole word.
 struct PageStore {
-    pages: Vec<OnceLock<Box<[AtomicU8]>>>,
+    segments: Box<[OnceLock<Segment>]>,
+    npages: usize,
 }
 
 impl PageStore {
     fn new(npages: usize) -> Self {
         PageStore {
-            pages: (0..npages).map(|_| OnceLock::new()).collect(),
+            segments: (0..npages.div_ceil(SEGMENT_PAGES))
+                .map(|_| OnceLock::new())
+                .collect(),
+            npages,
         }
     }
 
     fn capacity(&self) -> u64 {
-        (self.pages.len() * PAGE_SIZE) as u64
+        (self.npages * PAGE_SIZE) as u64
     }
 
-    /// The page backing `idx`, allocated (zeroed) on first use.
-    fn page(&self, idx: usize) -> &[AtomicU8] {
-        assert!(
-            idx < self.pages.len(),
-            "DRAM address out of range (page {idx})"
-        );
-        self.pages[idx].get_or_init(|| {
-            let mut v = Vec::with_capacity(PAGE_SIZE);
-            v.resize_with(PAGE_SIZE, || AtomicU8::new(0));
-            v.into_boxed_slice()
-        })
+    fn check(&self, idx: usize) {
+        assert!(idx < self.npages, "DRAM address out of range (page {idx})");
+    }
+
+    /// The page backing `idx`, allocated (zeroed) on first use along with
+    /// its segment.
+    fn page(&self, idx: usize) -> &[AtomicU64] {
+        self.check(idx);
+        let segment = self.segments[idx / SEGMENT_PAGES]
+            .get_or_init(|| (0..SEGMENT_PAGES).map(|_| OnceLock::new()).collect());
+        segment[idx % SEGMENT_PAGES]
+            .get_or_init(|| (0..PAGE_WORDS).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// The page backing `idx` if it has been written, allocating nothing.
+    fn get(&self, idx: usize) -> Option<&[AtomicU64]> {
+        self.check(idx);
+        let segment = self.segments[idx / SEGMENT_PAGES].get()?;
+        segment[idx % SEGMENT_PAGES].get().map(|p| &p[..])
+    }
+
+    /// Every allocated page with its index, in address order.
+    fn allocated(&self) -> impl Iterator<Item = (usize, &[AtomicU64])> {
+        self.segments
+            .iter()
+            .enumerate()
+            .filter_map(|(s, seg)| seg.get().map(|seg| (s, seg)))
+            .flat_map(|(s, seg)| {
+                seg.iter()
+                    .enumerate()
+                    .filter_map(move |(i, p)| p.get().map(|p| (s * SEGMENT_PAGES + i, &p[..])))
+            })
     }
 
     fn write(&self, addr: u64, data: &[u8]) {
@@ -79,9 +123,7 @@ impl PageStore {
             let page = self.page(addr / PAGE_SIZE);
             let off = addr % PAGE_SIZE;
             let n = (PAGE_SIZE - off).min(data.len());
-            for (dst, &b) in page[off..off + n].iter().zip(&data[..n]) {
-                dst.store(b, Ordering::Relaxed);
-            }
+            write_words(&page[off / 8..], off % 8, &data[..n]);
             addr += n;
             data = &data[n..];
         }
@@ -94,19 +136,12 @@ impl PageStore {
         let mut addr = addr as usize;
         let mut filled = 0;
         while filled < len {
-            let page = addr / PAGE_SIZE;
             let off = addr % PAGE_SIZE;
             let n = (PAGE_SIZE - off).min(len - filled);
-            assert!(
-                page < self.pages.len(),
-                "DRAM address out of range (page {page})"
-            );
-            if let Some(p) = self.pages[page].get() {
-                for (dst, src) in out[filled..filled + n].iter_mut().zip(&p[off..off + n]) {
-                    *dst = src.load(Ordering::Relaxed);
-                }
-            } else {
-                out[filled..filled + n].fill(0);
+            let dst = &mut out[filled..filled + n];
+            match self.get(addr / PAGE_SIZE) {
+                Some(page) => read_words(&page[off / 8..], off % 8, dst),
+                None => dst.fill(0),
             }
             addr += n;
             filled += n;
@@ -118,30 +153,85 @@ impl PageStore {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+        let mut eat = |bytes: [u8; 8]| {
+            for b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(PRIME);
+            }
         };
-        for (idx, page) in self.pages.iter().enumerate() {
-            if let Some(p) = page.get() {
-                for b in (idx as u64).to_le_bytes() {
-                    eat(b);
-                }
-                for b in p.iter() {
-                    eat(b.load(Ordering::Relaxed));
-                }
+        for (idx, page) in self.allocated() {
+            eat((idx as u64).to_le_bytes());
+            for w in page {
+                eat(w.load(Ordering::Relaxed).to_le_bytes());
             }
         }
         h
     }
 }
 
+/// Store `data` starting `skip` bytes into `words[0]`. Whole words are
+/// plain stores; a partial head or tail word changes only its own bytes.
+fn write_words(words: &[AtomicU64], skip: usize, data: &[u8]) {
+    let mut words = words.iter();
+    let mut data = data;
+    if skip != 0 {
+        let n = (8 - skip).min(data.len());
+        store_bytes(words.next().expect("in page"), skip, &data[..n]);
+        data = &data[n..];
+    }
+    let mut chunks = data.chunks_exact(8);
+    for (c, w) in (&mut chunks).zip(words.by_ref()) {
+        w.store(
+            u64::from_le_bytes(c.try_into().expect("8 bytes")),
+            Ordering::Relaxed,
+        );
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        store_bytes(words.next().expect("in page"), 0, tail);
+    }
+}
+
+/// Replace bytes `at..at + bytes.len()` of `word` (fewer than 8), leaving
+/// the rest of the word to whoever else may be writing it.
+fn store_bytes(word: &AtomicU64, at: usize, bytes: &[u8]) {
+    let mut buf = [0u8; 8];
+    buf[at..at + bytes.len()].copy_from_slice(bytes);
+    let value = u64::from_le_bytes(buf);
+    let mask = ((1u64 << (8 * bytes.len())) - 1) << (8 * at);
+    let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+        Some(old & !mask | value)
+    });
+}
+
+/// Copy `out.len()` bytes starting `skip` bytes into `words[0]`.
+fn read_words(words: &[AtomicU64], skip: usize, out: &mut [u8]) {
+    let mut words = words
+        .iter()
+        .map(|w| w.load(Ordering::Relaxed).to_le_bytes());
+    let mut out = out;
+    if skip != 0 {
+        let n = (8 - skip).min(out.len());
+        let w = words.next().expect("in page");
+        out[..n].copy_from_slice(&w[skip..skip + n]);
+        out = &mut out[n..];
+    }
+    let mut chunks = out.chunks_exact_mut(8);
+    for (c, w) in (&mut chunks).zip(words.by_ref()) {
+        c.copy_from_slice(&w);
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let w = words.next().expect("in page");
+        tail.copy_from_slice(&w[..tail.len()]);
+    }
+}
+
 impl std::fmt::Debug for PageStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let allocated = self.pages.iter().filter(|p| p.get().is_some()).count();
         f.debug_struct("PageStore")
-            .field("pages", &self.pages.len())
-            .field("allocated", &allocated)
+            .field("pages", &self.npages)
+            .field("allocated", &self.allocated().count())
             .finish()
     }
 }
@@ -1131,5 +1221,130 @@ mod tests {
         // Reading a never-written page returns zeros without allocating it.
         assert_eq!(d.host_read(5 * PAGE_SIZE as u64, 16), vec![0; 16]);
         assert_eq!(d.image_digest(), before);
+    }
+
+    /// Two banks on two threads write interleaved, disjoint pieces of the
+    /// same words, round after round. A write of part of a word must leave
+    /// the other bank's bytes alone even when both land at once; a plain
+    /// load-modify-store of the whole word would lose some of them.
+    #[test]
+    fn banks_on_threads_keep_each_others_bytes_in_shared_words() {
+        const WORDS: u64 = 512;
+        const ROUNDS: u8 = 60;
+        let d = small_dram();
+        // Straddle a page boundary. Word `w` splits at byte `1 + w % 7`:
+        // bank 0 owns the bytes below the split, bank 1 the rest.
+        let base = PAGE_SIZE as u64 - 8 * (WORDS / 2);
+        let pieces = |owner: usize| {
+            (0..WORDS).map(move |w| {
+                let split = 1 + w % 7;
+                let (from, to) = if owner == 0 { (0, split) } else { (split, 8) };
+                (base + 8 * w + from, (to - from) as usize)
+            })
+        };
+        let value =
+            |owner: usize, round: u8, addr: u64| (addr as u8) ^ round ^ (owner as u8 * 0x80);
+        // Each thread counts, rather than asserts, the bytes it finds lost
+        // after a round: a panic would leave the other at the barrier.
+        let barrier = std::sync::Barrier::new(2);
+        let lost: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|owner| {
+                    let mut bank = d.bank();
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let mut lost = 0;
+                        for round in 0..ROUNDS {
+                            barrier.wait();
+                            for (addr, len) in pieces(owner) {
+                                let bytes: Vec<u8> = (addr..addr + len as u64)
+                                    .map(|a| value(owner, round, a))
+                                    .collect();
+                                bank.host_write(addr, &bytes);
+                            }
+                            barrier.wait();
+                            for (addr, len) in pieces(owner) {
+                                lost += (addr..)
+                                    .zip(bank.host_read(addr, len))
+                                    .filter(|&(a, got)| got != value(owner, round, a))
+                                    .count();
+                            }
+                        }
+                        lost
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        assert_eq!(lost, 0, "bytes lost to the other bank's writes");
+        for owner in 0..2 {
+            for (addr, len) in pieces(owner) {
+                for (a, got) in (addr..).zip(d.host_read(addr, len)) {
+                    assert_eq!(got, value(owner, ROUNDS - 1, a));
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Bytes of address space behind one directory segment.
+    const SEGMENT_BYTES: u64 = (SEGMENT_PAGES * PAGE_SIZE) as u64;
+
+    /// Addresses that random accesses cluster around, so they cross word,
+    /// page and segment boundaries.
+    const ANCHORS: [u64; 6] = [
+        0,
+        PAGE_SIZE as u64,
+        3 * PAGE_SIZE as u64,
+        SEGMENT_BYTES,
+        SEGMENT_BYTES + PAGE_SIZE as u64,
+        2 * SEGMENT_BYTES,
+    ];
+
+    proptest! {
+        /// The store behaves as a plain byte array: every write and read,
+        /// of any length at any alignment, agrees with a `Vec<u8>` model,
+        /// and reading never allocates or changes the digest.
+        #[test]
+        fn store_matches_a_byte_array(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0usize..ANCHORS.len(), -300i64..300, 1usize..=300, any::<u8>()),
+                1..60,
+            ),
+        ) {
+            // Four segments; accesses never reach the fourth.
+            let cap = 4 * SEGMENT_BYTES;
+            let mut d = Dram::new(&FpgaConfig::default(), cap);
+            let mut model = vec![0u8; cap as usize];
+            for (write, anchor, delta, len, seed) in ops {
+                let addr = ANCHORS[anchor].saturating_add_signed(delta).min(cap - len as u64);
+                let range = addr as usize..addr as usize + len;
+                if write {
+                    let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add((i as u8).wrapping_mul(37))).collect();
+                    d.host_write(addr, &data);
+                    model[range.clone()].copy_from_slice(&data);
+                    // The written bytes and their neighbours in the same words.
+                    let lo = range.start.saturating_sub(8);
+                    let hi = (range.end + 8).min(cap as usize);
+                    prop_assert_eq!(d.host_read(lo as u64, hi - lo), &model[lo..hi]);
+                } else {
+                    let (pages, digest) = (d.store.allocated().count(), d.image_digest());
+                    prop_assert_eq!(d.host_read(addr, len), &model[range]);
+                    prop_assert_eq!(d.store.allocated().count(), pages);
+                    prop_assert_eq!(d.image_digest(), digest);
+                }
+            }
+            // An untouched segment reads as zeros and stays unallocated.
+            let (pages, digest) = (d.store.allocated().count(), d.image_digest());
+            let far = 3 * SEGMENT_BYTES + 7 * PAGE_SIZE as u64 - 5;
+            prop_assert_eq!(d.host_read(far, 300), vec![0; 300]);
+            prop_assert_eq!(d.store.allocated().count(), pages);
+            prop_assert_eq!(d.image_digest(), digest);
+        }
     }
 }

@@ -8,10 +8,21 @@
 //! 2. A long-lived `Loader`, which starts skiplist walks at its finger,
 //!    writes exactly the DRAM image that a fresh `Loader` per insert (a
 //!    full walk from the head every time) writes, in every insert order.
+//! 3. The `Loader`'s image equals, byte for byte, the image of a reference
+//!    writer kept here: a walk from the head per key and one host write
+//!    per field.
 
-use bionicdb::{BionicConfig, SystemBuilder, TableMeta};
-use bionicdb_coproc::layout::{read_header, TOWER_NEXTS, TUPLE_HEADER};
+use bionicdb::storage::{Partition, LOAD_TS};
+use bionicdb::{BionicConfig, Catalogue, IndexKey, Loader, PartitionId, SystemBuilder, TableMeta};
+use bionicdb_coproc::layout::{
+    read_header, RecordHeader, TableState, TOWER_HEIGHT, TOWER_NEXTS, TUPLE_HEADER, TUPLE_NEXT,
+    TUPLE_PAYLOAD,
+};
+use bionicdb_coproc::sdbm::{bucket_of, sdbm_hash};
+use bionicdb_coproc::skiplist::tower_height;
+use bionicdb_fpga::{Dram, FpgaConfig, Region};
 use bionicdb_softcore::builder::ProcBuilder;
+use bionicdb_softcore::catalogue::IndexKind;
 use bionicdb_softcore::isa::{MemBase, Operand};
 use proptest::prelude::*;
 
@@ -210,5 +221,139 @@ proptest! {
             prop_assert!(chain.windows(2).all(|w| w[0] <= w[1]), "unsorted chain {chain:?}");
             prop_assert_eq!(chain.len(), keys.len());
         }
+    }
+}
+
+/// The address of the next pointer at `level` of `tower` (0 = the head).
+fn next_slot(state: &TableState, tower: u64, level: usize) -> u64 {
+    if tower == 0 {
+        state.head_next_addr(level)
+    } else {
+        tower + TOWER_NEXTS + 8 * level as u64
+    }
+}
+
+/// The loader's write sequence before records were assembled whole: each
+/// skiplist key walks from the head, and every field is its own host
+/// write. Returns the record's address.
+fn reference_insert(dram: &mut Dram, state: &mut TableState, key: &[u8], payload: &[u8]) -> u64 {
+    let key = IndexKey::from_bytes(key);
+    let header = RecordHeader {
+        write_ts: LOAD_TS,
+        read_ts: 0,
+        flags: 0,
+        key,
+    }
+    .encode();
+    match state.meta.kind {
+        IndexKind::Hash => {
+            let bucket = bucket_of(sdbm_hash(key.as_bytes()), state.meta.hash_buckets);
+            let bucket_addr = state.bucket_addr(bucket);
+            let head = dram.host_read_u64(bucket_addr);
+            let addr = state.alloc_tuple();
+            dram.host_write_u64(addr + TUPLE_NEXT, head);
+            dram.host_write(addr + TUPLE_HEADER, &header);
+            dram.host_write(addr + TUPLE_PAYLOAD, payload);
+            dram.host_write_u64(bucket_addr, addr);
+            addr
+        }
+        IndexKind::Skiplist => {
+            let mut preds = vec![0u64; state.max_level];
+            let mut succs = vec![0u64; state.max_level];
+            let mut cur = 0;
+            for level in (0..state.max_level).rev() {
+                let mut next = dram.host_read_u64(next_slot(state, cur, level));
+                while next != 0 && read_header(dram, next).key < key {
+                    cur = next;
+                    next = dram.host_read_u64(next_slot(state, cur, level));
+                }
+                preds[level] = cur;
+                succs[level] = next;
+            }
+            let h = tower_height(&key, state.max_level);
+            let addr = state.alloc_tower(h);
+            dram.host_write(addr, &header);
+            dram.host_write_u64(addr + TOWER_HEIGHT, h as u64);
+            for (level, &succ) in succs[..h].iter().enumerate() {
+                dram.host_write_u64(addr + TOWER_NEXTS + 8 * level as u64, succ);
+            }
+            dram.host_write(addr + TableState::tower_payload_off(h), payload);
+            for (level, &pred) in preds[..h].iter().enumerate() {
+                dram.host_write_u64(next_slot(state, pred, level), addr);
+            }
+            addr
+        }
+    }
+}
+
+/// Skiplist height cap of the reference-check partition: low enough that
+/// a handful of keys reaches every height.
+const REF_MAX_LEVEL: usize = 6;
+
+/// Bytes of DRAM behind the reference-check partition, compared whole.
+const REF_DRAM: u64 = 4 << 20;
+
+/// A bare DRAM plus one partition holding a hash table and a skiplist for
+/// each payload length, 13 and 100 bytes: neither a multiple of 8.
+fn ref_partition() -> (Dram, Partition) {
+    let mut cat = Catalogue::new();
+    for (hash, skip, len) in [("h13", "s13", 13), ("h100", "s100", 100)] {
+        cat.register_table(TableMeta::hash(hash, 8, len, 1 << 5))
+            .unwrap();
+        cat.register_table(TableMeta::skiplist(skip, 8, len))
+            .unwrap();
+    }
+    let part = Partition::build(
+        PartitionId(0),
+        &cat,
+        Region::new(1 << 20, 3 << 20),
+        Region::new(64 << 10, 64 << 10),
+        REF_MAX_LEVEL,
+    );
+    (Dram::new(&FpgaConfig::default(), REF_DRAM), part)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn loader_writes_the_reference_image(
+        keys in proptest::collection::vec(0u64..2_000, 1..80),
+        sorted in any::<bool>(),
+    ) {
+        let mut keys = keys;
+        // A key of every tower height, so every tower shape is written.
+        for h in 1..=REF_MAX_LEVEL {
+            let k = (10_000u64..)
+                .find(|k| tower_height(&IndexKey::from_bytes(&k.to_be_bytes()), REF_MAX_LEVEL) == h)
+                .unwrap();
+            keys.push(k);
+        }
+        if sorted {
+            keys.sort_unstable();
+        }
+
+        let (mut dram, mut part) = ref_partition();
+        let (mut ref_dram, mut ref_part) = ref_partition();
+        let mut loader = Loader::new(&mut dram, &mut part);
+        for &k in &keys {
+            for t in 0..4 {
+                let key = match t % 2 {
+                    0 => k.to_le_bytes(),
+                    _ => k.to_be_bytes(),
+                };
+                let len = ref_part.tables[t].meta.payload_len as usize;
+                let payload: Vec<u8> = (0..len).map(|i| (k as u8) ^ (i as u8)).collect();
+                let got = loader.insert(bionicdb::TableId(t as u8), &key, &payload);
+                let want = reference_insert(&mut ref_dram, &mut ref_part.tables[t], &key, &payload);
+                prop_assert_eq!(got, want);
+            }
+        }
+        drop(loader);
+        let (image, reference) = (dram.host_read(0, REF_DRAM as usize), ref_dram.host_read(0, REF_DRAM as usize));
+        if let Some(at) = (0..image.len()).find(|&i| image[i] != reference[i]) {
+            prop_assert!(false, "images differ first at byte {at}");
+        }
+        prop_assert_eq!(dram.image_digest(), ref_dram.image_digest());
     }
 }
