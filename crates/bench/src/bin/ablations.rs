@@ -150,10 +150,7 @@ fn main() {
         y.machine.run_to_quiescence();
         let out = y.machine.retry_to_completion(
             &blocks,
-            bionicdb::RetryBudget {
-                max_attempts: 1000,
-                backoff_cycles: 0,
-            },
+            bionicdb::RetryBudget { max_attempts: 1000 },
             1 << 33,
         );
         assert!(out.all_committed(), "skewed updates failed to converge");

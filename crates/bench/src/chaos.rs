@@ -348,14 +348,7 @@ fn drive_to_completion(sys: &mut Sys, blocks: &[(usize, TxnBlock)]) {
     if m.is_crashed() {
         return;
     }
-    let out = m.retry_to_completion(
-        blocks,
-        RetryBudget {
-            max_attempts: 128,
-            backoff_cycles: 0,
-        },
-        RUN_LIMIT,
-    );
+    let out = m.retry_to_completion(blocks, RetryBudget { max_attempts: 128 }, RUN_LIMIT);
     if !m.is_crashed() {
         assert!(out.all_committed(), "fault-free drive converges: {out:?}");
     }
@@ -545,14 +538,7 @@ pub fn run_noc_drop(workload: ChaosWorkload, drops: &[u64], seed: u64) -> ChaosR
     let blocks = sys.submit_batch(seed);
     let m = sys.machine();
     m.run_to_quiescence_limit(RUN_LIMIT);
-    let out = m.retry_to_completion(
-        &blocks,
-        RetryBudget {
-            max_attempts: 128,
-            backoff_cycles: 0,
-        },
-        RUN_LIMIT,
-    );
+    let out = m.retry_to_completion(&blocks, RetryBudget { max_attempts: 128 }, RUN_LIMIT);
     assert!(out.all_committed(), "losses absorbed by retries: {out:?}");
     let s = m.noc().stats();
     assert!(s.dropped >= 1, "the drop schedule actually fired: {s:?}");

@@ -195,17 +195,11 @@ impl MachineStats {
 pub struct RetryBudget {
     /// Maximum resubmit rounds before giving up on still-aborted blocks.
     pub max_attempts: u32,
-    /// Cycles to let the machine idle before each retry round (client
-    /// backoff; shrinks the conflict window on hot-record workloads).
-    pub backoff_cycles: u64,
 }
 
 impl Default for RetryBudget {
     fn default() -> Self {
-        RetryBudget {
-            max_attempts: 64,
-            backoff_cycles: 0,
-        }
+        RetryBudget { max_attempts: 64 }
     }
 }
 
@@ -405,9 +399,8 @@ impl Machine {
 
     /// Drive a set of executed blocks to completion under a bounded retry
     /// policy: aborted blocks are resubmitted (inputs are preserved through
-    /// execution, §4.8) for up to `budget.max_attempts` rounds, advancing
-    /// the clock by `budget.backoff_cycles` before each retry round, and
-    /// running to quiescence (bounded by `limit` cycles per round) after.
+    /// execution, §4.8) for up to `budget.max_attempts` rounds, each run to
+    /// quiescence (bounded by `limit` cycles per round).
     ///
     /// Blocks still aborted when the budget is spent — or still pending
     /// because the machine crashed mid-round — are returned in
@@ -431,10 +424,6 @@ impl Machine {
                 .filter(|&(_, blk)| self.block_status(blk) == TxnStatus::Aborted)
                 .collect();
             if aborted.is_empty() {
-                break;
-            }
-            self.run(budget.backoff_cycles);
-            if self.crashed {
                 break;
             }
             for &(w, blk) in &aborted {
@@ -1282,10 +1271,7 @@ mod tests {
         m.submit(0, blk);
         m.run_to_quiescence_limit(1 << 22);
         assert_eq!(m.block_status(blk), TxnStatus::Aborted);
-        let budget = RetryBudget {
-            max_attempts: 3,
-            backoff_cycles: 16,
-        };
+        let budget = RetryBudget { max_attempts: 3 };
         let out = m.retry_to_completion(&[(0, blk)], budget, 1 << 22);
         assert!(!out.all_committed());
         assert_eq!(out.resubmissions, 3);

@@ -52,9 +52,9 @@
 //!   least one NoC crossing, which the epoch horizons already order.
 //! * **Merge order.** A chip folds its scheduled lanes' traffic and trace
 //!   in ascending lane order; the coordinator folds chip replies in
-//!   ascending chip order. Both merges are the order-preserving ones the
-//!   in-process combining tree uses, so the result equals the serial
-//!   concatenation either way.
+//!   ascending chip order. It is the same fold the in-process threads use,
+//!   keyed by `(cycle, lane)`, and its result does not depend on the fold
+//!   order, so it equals the serial concatenation either way.
 //! * **Statistics.** Worker/bank counters live in the chip processes; the
 //!   coordinator keeps a [`WorkerSlice`] cache per worker, refreshed from
 //!   each `PhaseEnd`, and the `Machine` accessors consult it in fleet
@@ -90,7 +90,7 @@ use bionicdb_softcore::core::SoftcoreObs;
 use bionicdb_softcore::SoftcoreStats;
 
 use super::par::{
-    drive, finish_lane, step_lane, Drive, EpochCoordinator, Lane, LaneOut, Placement,
+    drive, finish_lane, step_lane, Drive, EpochCoordinator, Folded, Lane, LaneOut, Placement,
     RoundEntry, RoundNode, Stop,
 };
 use super::{LaneActivity, Machine};
@@ -696,7 +696,7 @@ struct Chips<'f> {
 }
 
 impl Placement for Chips<'_> {
-    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode) {
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> Folded {
         let fleet = &mut *self.fleet;
         let mut per_chip: Vec<Vec<RoundEntry>> = fleet.chips.iter().map(|_| Vec::new()).collect();
         for entry in lanes {
@@ -712,7 +712,7 @@ impl Placement for Chips<'_> {
             }));
         }
         let mut outs = Vec::new();
-        let mut root = RoundNode::empty();
+        let mut root = RoundNode::default();
         for &c in &active {
             let ToCoord::RoundOut {
                 outs: chip_outs,
@@ -729,7 +729,7 @@ impl Placement for Chips<'_> {
                 }
             }
             outs.extend(chip_outs);
-            root = RoundNode::merge(root, node);
+            root.fold(node);
         }
         (outs, root)
     }
@@ -913,14 +913,14 @@ impl Machine {
                     ToChip::Round { entries, journal } => {
                         dram.apply_write_journal(&journal);
                         let mut outs = Vec::with_capacity(entries.len());
-                        let mut node = RoundNode::empty();
+                        let mut node = RoundNode::default();
                         let mut journal = WriteJournal::new();
                         for (g, horizon, pending) in entries {
                             let k = g - range.start;
                             let lane = &mut lanes[k];
                             let (out, lane_node) =
                                 step_lane(lane, &mut links[k], horizon, pending, cat, tracing);
-                            node = RoundNode::merge(node, lane_node);
+                            node.fold(lane_node);
                             journal.extend(lane.bank.take_write_journal());
                             outs.push((g, out));
                         }
@@ -1093,7 +1093,7 @@ mod tests {
                     drained: true,
                 },
             )],
-            node: RoundNode::empty(),
+            node: RoundNode::default(),
             journal: vec![(8, vec![0xff; 64])],
         };
         match decode::<ToCoord>(&encode(&out)) {

@@ -50,10 +50,11 @@
 //!    staged, can arrive at `i` at or before `H_i`.
 //! 5. Every lane whose next action is `<= H_i` is scheduled. In the
 //!    threaded placement threads (the coordinator included) **claim lanes
-//!    dynamically** with an atomic cursor, and each finished lane deposits
-//!    its round traffic and trace into a **combining tree** whose nodes
-//!    merge pairwise with order-preserving merges — the root is
-//!    deterministic regardless of thread interleaving.
+//!    dynamically** with an atomic cursor. Each thread **folds** the round
+//!    traffic and trace of the lanes it ran into one result, and after the
+//!    barrier the coordinator folds the per-thread results. Every fold key
+//!    is `(cycle, lane)` and two lanes never tie, so the round's fold is
+//!    the same whichever thread ran which lane.
 //!
 //! Trace events drain to the sink only below the GVT (their serial order
 //! is then final); the remainder drains at phase end.
@@ -96,7 +97,7 @@ use std::time::Instant;
 
 use bionicdb_coproc::layout::TableState;
 use bionicdb_fpga::{Dram, TraceSink, TxnEvent};
-use bionicdb_noc::{EpochLink, EpochMerger, Noc, Packet, StagedBatch};
+use bionicdb_noc::{fold_sorted, EpochLink, EpochMerger, Noc, Packet, StagedBatch};
 use bionicdb_softcore::catalogue::Catalogue;
 use bionicdb_softcore::PartitionId;
 
@@ -171,7 +172,8 @@ impl LaneOut {
     }
 }
 
-/// One lane's round traffic and trace (or a merged subtree of them).
+/// The round traffic and trace of one lane, or the fold of several.
+#[derive(Default)]
 pub(crate) struct RoundNode {
     pub(crate) batch: StagedBatch,
     /// Trace events `(cycle, lane, event)`, sorted by `(cycle, lane)`.
@@ -179,54 +181,24 @@ pub(crate) struct RoundNode {
 }
 
 impl RoundNode {
-    pub(crate) fn empty() -> Self {
-        RoundNode {
-            batch: StagedBatch::empty(),
-            trace: Vec::new(),
-        }
-    }
-
-    /// Deterministic pairwise combine: order-preserving merges keyed the
-    /// way a serial pass would have ordered the concatenation.
-    pub(crate) fn merge(a: Self, b: Self) -> Self {
-        RoundNode {
-            batch: StagedBatch::merge(a.batch, b.batch),
-            trace: merge_traces(a.trace, b.trace),
-        }
+    /// Fold `other` in; the result does not depend on the fold order (see
+    /// [`StagedBatch::fold`]).
+    pub(crate) fn fold(&mut self, other: Self) {
+        self.batch.fold(other.batch);
+        merge_traces(&mut self.trace, other.trace);
     }
 }
 
-/// Order-preserving two-pointer merge of `(cycle, lane)`-sorted traces;
-/// `<=` keeps the left operand first on ties, matching a stable sort of
-/// the concatenation.
-fn merge_traces(
-    a: Vec<(u64, u32, TxnEvent)>,
-    b: Vec<(u64, u32, TxnEvent)>,
-) -> Vec<(u64, u32, TxnEvent)> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(&(ca, la, _)), Some(&(cb, lb, _))) => {
-                if (ca, la) <= (cb, lb) {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
+/// Fold `(cycle, lane)`-sorted trace events `b` into `a` — the serial
+/// drain order.
+fn merge_traces(a: &mut Vec<(u64, u32, TxnEvent)>, b: Vec<(u64, u32, TxnEvent)>) {
+    fold_sorted(a, b, |&(c, lane, _)| (c, lane));
 }
+
+/// What one thread or chip hands back for a round, and what a round
+/// returns: the scheduled lanes' reports (in any order) plus their folded
+/// traffic and trace.
+pub(crate) type Folded = (Vec<(usize, LaneOut)>, RoundNode);
 
 /// The earliest cycle `> lane.pos` at which this lane has an event: its
 /// worker's own next event, its bank's next completion, or its queue
@@ -311,7 +283,7 @@ pub(crate) fn step_lane(
     lane.act.rounds += 1;
     lane.act.epoch_len.record(horizon - lane.pos);
     let hint = run_round(lane, link, horizon, cat, tracing);
-    let batch = StagedBatch::from_traffic(link.harvest());
+    let batch = link.harvest();
     let id = lane.idx as u32;
     let trace = lane.trace.drain(..).map(|(c, ev)| (c, id, ev)).collect();
     (LaneOut::of(lane, link, hint), RoundNode { batch, trace })
@@ -624,8 +596,8 @@ impl EpochCoordinator {
 /// Where an epoch phase's lanes execute.
 pub(crate) trait Placement {
     /// Run the scheduled lanes, each to its granted horizon. Returns every
-    /// scheduled lane's report and the round's merged traffic and trace.
-    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode);
+    /// scheduled lane's report and the round's folded traffic and trace.
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> Folded;
     /// Finish every lane at cycle `to`, closing the phase.
     fn finish(&mut self, to: u64, expect_idle: bool);
 }
@@ -666,7 +638,7 @@ pub(crate) fn drive(
                     coord.note_out(*i, out);
                 }
                 merger.absorb(noc, root.batch);
-                trace_buf = merge_traces(std::mem::take(&mut trace_buf), root.trace);
+                merge_traces(&mut trace_buf, root.trace);
                 rounds += 1;
             }
             Step::Finish { to, expect_idle } => {
@@ -734,74 +706,6 @@ impl Machine {
 
 // ---------------------------------------------------------------------------
 // the threaded placement
-
-/// The hierarchical merge: a heap-indexed binary combining tree. Leaves
-/// live at `[m, 2m)`, internal nodes at `[1, m)`, the root at 1. A thread
-/// deposits its finished lane's [`RoundNode`] at its claimed leaf and
-/// climbs: the *second* arrival at each parent merges the two children and
-/// continues up, so merge work is spread across whichever threads finish
-/// last on each subtree — not serialized under the barrier.
-struct MergeTree {
-    nodes: Vec<Mutex<Option<RoundNode>>>,
-    /// Per-internal-node arrival counters (index-aligned with `nodes`).
-    arrivals: Vec<AtomicUsize>,
-    /// Leaf count (power of two).
-    m: usize,
-}
-
-impl MergeTree {
-    fn new(leaves: usize) -> Self {
-        let m = leaves.next_power_of_two().max(1);
-        MergeTree {
-            nodes: (0..2 * m).map(|_| Mutex::new(None)).collect(),
-            arrivals: (0..m).map(|_| AtomicUsize::new(0)).collect(),
-            m,
-        }
-    }
-
-    /// Coordinator-only, between rounds: rearm the arrival counters.
-    fn reset(&self) {
-        for a in &self.arrivals {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Place `node` at leaf `k` and climb, merging at each parent where
-    /// this thread arrives second. Mutexes order the node writes against
-    /// the counter increments.
-    fn deposit(&self, k: usize, node: RoundNode) {
-        let mut i = self.m + k;
-        *self.nodes[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(node);
-        while i > 1 {
-            let p = i >> 1;
-            if self.arrivals[p].fetch_add(1, Ordering::AcqRel) == 0 {
-                return; // first at this parent: the sibling's thread merges
-            }
-            let l = self.nodes[2 * p]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("left child deposited");
-            let r = self.nodes[2 * p + 1]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("right child deposited");
-            *self.nodes[p].lock().unwrap_or_else(PoisonError::into_inner) =
-                Some(RoundNode::merge(l, r));
-            i = p;
-        }
-    }
-
-    /// Coordinator-only, after the barrier: harvest the fully merged root.
-    fn take_root(&self) -> RoundNode {
-        self.nodes[1]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("combining tree root deposited")
-    }
-}
 
 /// Coordinator commands, published before the round barrier.
 #[derive(Clone, Copy)]
@@ -891,7 +795,6 @@ impl Drop for PanicGuard<'_> {
 struct LaneCell<'a> {
     lane: Lane<'a>,
     link: EpochLink,
-    out: Option<LaneOut>,
     /// When the claiming thread finished this lane — the coordinator turns
     /// it into per-lane barrier idle time.
     done_at: Option<Instant>,
@@ -904,7 +807,8 @@ struct Crew<'a> {
     /// deliveries.
     sched: Mutex<Vec<RoundEntry>>,
     cursor: AtomicUsize,
-    tree: MergeTree,
+    /// One folded result per thread that ran a lane this round.
+    results: Mutex<Vec<Folded>>,
     gate: Gate,
     cmd: Mutex<Cmd>,
     cat: &'a Catalogue,
@@ -922,9 +826,11 @@ impl<'a> Crew<'a> {
     }
 
     /// The work-stealing loop every thread (coordinator included) runs
-    /// during a round: claim the next scheduled lane, step it, and deposit
-    /// its traffic/trace into the combining tree at the claimed slot.
+    /// during a round: claim the next scheduled lane, step it, and fold its
+    /// report, traffic and trace into this thread's result, which is
+    /// deposited once the schedule is exhausted.
     fn run_claimed(&self) {
+        let mut folded = Folded::default();
         loop {
             let k = self.claim();
             let entry = {
@@ -945,10 +851,16 @@ impl<'a> Crew<'a> {
                 self.cat,
                 self.tracing,
             );
-            cell.out = Some(out);
             cell.done_at = Some(Instant::now());
             drop(guard);
-            self.tree.deposit(k, node);
+            folded.0.push((i, out));
+            folded.1.fold(node);
+        }
+        if !folded.0.is_empty() {
+            self.results
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(folded);
         }
     }
 
@@ -1003,7 +915,7 @@ struct Threads<'c, 'scope, 'env, 'a> {
 }
 
 impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Placement for Threads<'c, 'scope, 'env, 'a> {
-    fn run(&mut self, lanes: Vec<RoundEntry>) -> (Vec<(usize, LaneOut)>, RoundNode) {
+    fn run(&mut self, lanes: Vec<RoundEntry>) -> Folded {
         let crew = self.crew;
         if !self.spawned {
             for _ in 1..self.threads {
@@ -1011,28 +923,28 @@ impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Placement for Threads<'c, 'scope, 'en
             }
             self.spawned = true;
         }
-        let round: Vec<usize> = lanes.iter().map(|&(i, _, _)| i).collect();
         *crew.sched.lock().unwrap_or_else(PoisonError::into_inner) = lanes;
-        crew.tree.reset();
-        for leaf in round.len()..crew.tree.m {
-            crew.tree.deposit(leaf, RoundNode::empty());
-        }
         crew.release(Cmd::Run);
         crew.run_claimed();
         crew.gate.wait(); // all results in
         let barrier_end = Instant::now();
-        let outs = round
-            .into_iter()
-            .map(|i| {
-                let mut cell = crew.cell(i);
-                if let Some(done) = cell.done_at.take() {
-                    cell.lane.act.barrier_idle_ns +=
-                        barrier_end.duration_since(done).as_nanos() as u64;
-                }
-                (i, cell.out.take().expect("scheduled lane reported"))
-            })
-            .collect();
-        (outs, crew.tree.take_root())
+        let mut round = Folded::default();
+        for (outs, node) in crew
+            .results
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
+            round.0.extend(outs);
+            round.1.fold(node);
+        }
+        for &(i, _) in &round.0 {
+            let mut cell = crew.cell(i);
+            if let Some(done) = cell.done_at.take() {
+                cell.lane.act.barrier_idle_ns += barrier_end.duration_since(done).as_nanos() as u64;
+            }
+        }
+        round
     }
 
     fn finish(&mut self, to: u64, expect_idle: bool) {
@@ -1084,7 +996,6 @@ impl Machine {
                 Mutex::new(LaneCell {
                     lane,
                     link,
-                    out: None,
                     done_at: None,
                 })
             })
@@ -1093,7 +1004,7 @@ impl Machine {
             cells,
             sched: Mutex::new(Vec::new()),
             cursor: AtomicUsize::new(0),
-            tree: MergeTree::new(n),
+            results: Mutex::new(Vec::new()),
             gate: Gate::new(threads),
             cmd: Mutex::new(Cmd::Run),
             cat,
@@ -1119,5 +1030,71 @@ impl Machine {
             })
             .unzip();
         (end, links, acts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A trace event told apart by its block address.
+    fn event(lane: usize, k: usize) -> TxnEvent {
+        TxnEvent {
+            worker: lane as u16,
+            block_addr: k as u64,
+            submitted_at: 0,
+            logic_start: 0,
+            logic_end: 0,
+            commit_start: 0,
+            finished_at: 0,
+            committed: true,
+        }
+    }
+
+    proptest! {
+        /// Trace folds agree in any grouping and order, the way
+        /// `StagedBatch` folds do: folding the lanes' round traces through
+        /// per-thread results in any claim order drains the events in the
+        /// lane-order fold's `(cycle, lane)` order.
+        #[test]
+        fn trace_folds_agree_in_any_grouping_and_order(
+            lanes in prop::collection::vec(prop::collection::vec(0u64..10, 0..6), 1..7),
+            order_keys in prop::collection::vec(any::<u64>(), 6),
+            cuts in prop::collection::vec(any::<bool>(), 6),
+            reverse_groups in any::<bool>(),
+        ) {
+            // Lane `i`'s trace: events in cycle order, several per cycle.
+            let trace = |i: usize| -> Vec<(u64, u32, TxnEvent)> {
+                let mut cycles = lanes[i].clone();
+                cycles.sort_unstable();
+                cycles.into_iter().enumerate().map(|(k, c)| (c, i as u32, event(i, k))).collect()
+            };
+            let mut reference = Vec::new();
+            for i in 0..lanes.len() {
+                merge_traces(&mut reference, trace(i));
+            }
+            let mut order: Vec<usize> = (0..lanes.len()).collect();
+            order.sort_by_key(|&i| order_keys[i]);
+            let mut groups: Vec<Vec<(u64, u32, TxnEvent)>> = Vec::new();
+            for (k, i) in order.into_iter().enumerate() {
+                if k == 0 || cuts[k] {
+                    groups.push(Vec::new());
+                }
+                merge_traces(groups.last_mut().expect("a group is open"), trace(i));
+            }
+            if reverse_groups {
+                groups.reverse();
+            }
+            let mut folded = Vec::new();
+            for g in groups {
+                merge_traces(&mut folded, g);
+            }
+            prop_assert!(
+                reference.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
+                "lane-order fold unsorted"
+            );
+            prop_assert_eq!(folded, reference);
+        }
     }
 }

@@ -228,10 +228,6 @@ pub struct Noc {
     /// scheduler. `latency()` recomputes from the topology; hot scheduler
     /// paths index this cache instead.
     pair_latency: Vec<u64>,
-    /// Cached per-destination minimum incoming latency
-    /// (`min over src != dst of pair_latency[src][dst]`); the one-worker
-    /// degenerate case falls back to `hop_latency`.
-    min_incoming: Vec<u64>,
 }
 
 impl Noc {
@@ -242,15 +238,6 @@ impl Noc {
         let hop_latency = hop_latency.max(1);
         let pair_latency: Vec<u64> = (0..n)
             .flat_map(|a| (0..n).map(move |b| topology.hops_between(n, a, b) * hop_latency))
-            .collect();
-        let min_incoming: Vec<u64> = (0..n)
-            .map(|dst| {
-                (0..n)
-                    .filter(|&src| src != dst)
-                    .map(|src| pair_latency[src * n + dst])
-                    .min()
-                    .unwrap_or(hop_latency)
-            })
             .collect();
         Noc {
             topology,
@@ -264,7 +251,6 @@ impl Noc {
             faults: NocFaults::default(),
             sends_seen: 0,
             pair_latency,
-            min_incoming,
         }
     }
 
@@ -296,22 +282,6 @@ impl Noc {
         self.pair_latency[src.0 as usize * self.n + dst.0 as usize]
     }
 
-    /// Cached minimum latency of any message *into* `dst` from another
-    /// worker — **defined** as the per-destination row minimum of the
-    /// lookahead matrix, `min over src != dst of min_latency(src, dst)`.
-    /// That row minimum is what the epoch (and fleet) barrier inherits as
-    /// its horizon, so this value is never smaller than any real arrival
-    /// latency into `dst`. Only a *single-worker interconnect* has no
-    /// sources at all; the row minimum is then vacuous and the base one-hop
-    /// latency is returned — safe because no message can ever arrive (any
-    /// horizon is correct), and consistent with [`Noc::min_hop_latency`]'s
-    /// same degenerate fallback. (Note this is **not** a claim that some
-    /// pair is one hop apart: under `MultiChip { workers_per_node: 1, .. }`
-    /// every row minimum is the full inter-node latency.)
-    pub fn min_incoming_latency(&self, dst: PartitionId) -> u64 {
-        self.min_incoming[dst.0 as usize]
-    }
-
     /// Number of workers attached to the interconnect.
     pub fn workers(&self) -> usize {
         self.n
@@ -328,16 +298,29 @@ impl Noc {
             src < self.n && (pkt.dst.0 as usize) < self.n,
             "packet for unknown worker"
         );
-        let (cycle, count) = &mut self.last_send[src];
-        if *cycle == now && *count >= self.issue_width {
+        if issue_full(self.last_send[src], now, self.issue_width) {
             self.stats.rejected += 1;
             return Err(NocBusy);
         }
-        if *cycle != now {
-            *cycle = now;
-            *count = 0;
+        if let Some(at) = self.accept(now, &pkt) {
+            let dst = pkt.dst.0 as usize;
+            self.inbound[dst].push_back((at, pkt));
+            let depth = self.inbound[dst].len() as u64;
+            let ls = &mut self.link_stats[dst];
+            ls.queue_high_water = ls.queue_high_water.max(depth);
         }
-        *count += 1;
+        Ok(())
+    }
+
+    /// The accept step every send takes, whether a worker makes it
+    /// directly ([`Noc::send`]) or an epoch commit replays it
+    /// ([`EpochMerger::commit`]; the lane's own ledger already passed the
+    /// issue-width gate): count it on the per-source ledger and the `sent`
+    /// counters, match the fault schedule against its ordinal, and charge
+    /// its latency. Returns the delivery cycle, or `None` when an injected
+    /// drop lost the message.
+    fn accept(&mut self, now: u64, pkt: &Packet) -> Option<u64> {
+        issue(&mut self.last_send[pkt.src.0 as usize], now);
         self.stats.sent += 1;
         self.link_stats[pkt.dst.0 as usize].sent += 1;
         // Injected faults: the nth accepted send may vanish in flight (the
@@ -348,20 +331,15 @@ impl Noc {
         self.sends_seen += 1;
         if self.faults.drop_for(n) {
             self.stats.dropped += 1;
-            return Ok(());
+            return None;
         }
         let mut lat = self.latency(pkt.src, pkt.dst);
         if let Some(extra) = self.faults.delay_for(n) {
             lat += extra;
             self.stats.delayed += 1;
         }
-        let dst = pkt.dst.0 as usize;
-        self.inbound[dst].push_back((now + lat, pkt));
-        let depth = self.inbound[dst].len() as u64;
-        let ls = &mut self.link_stats[dst];
-        ls.queue_high_water = ls.queue_high_water.max(depth);
         self.stats.total_latency += lat;
-        Ok(())
+        Some(now + lat)
     }
 
     /// Peek the next packet delivered to `dst` by cycle `now` without
@@ -438,24 +416,26 @@ impl Noc {
     /// symmetric but nothing requires it. With a single worker there are no
     /// pairs and any epoch length is safe; the one-hop latency is the floor.
     pub fn min_hop_latency(&self) -> u64 {
-        self.min_incoming
-            .iter()
-            .copied()
+        let n = self.n;
+        (0..n * n)
+            .filter(|&i| i / n != i % n)
+            .map(|i| self.pair_latency[i])
             .min()
             .unwrap_or(self.hop_latency)
     }
 
     /// Detach every worker's view of the interconnect into an [`EpochLink`]
     /// for an epoch-parallel run. Each link takes ownership of its inbound
-    /// delivery queue; sends and polls are recorded locally and replayed
-    /// into the shared stats by [`Noc::merge_epoch`] at each epoch barrier.
-    /// [`Noc::absorb_epoch`] puts the queues back when the run ends.
+    /// delivery queue; sends and polls are recorded locally, folded into
+    /// an [`EpochMerger`] at each barrier, and committed into the shared
+    /// state by [`EpochMerger::commit`]. [`Noc::absorb_epoch`] puts the
+    /// queues back when the run ends.
     ///
     /// The per-source issue-width ledger restarts empty, which is exact: a
     /// link admits at most `issue_width` sends per *cycle*, every epoch
     /// round starts at a cycle strictly after any cycle the ledger has seen,
-    /// and the merge replay rebuilds the shared ledger from the accepted
-    /// sends themselves.
+    /// and the commit rebuilds the shared ledger from the accepted sends
+    /// themselves.
     pub fn begin_epoch(&mut self) -> Vec<EpochLink> {
         (0..self.n)
             .map(|w| EpochLink {
@@ -463,100 +443,16 @@ impl Noc {
                 n: self.n,
                 issue_width: self.issue_width,
                 queue: std::mem::take(&mut self.inbound[w]),
-                staged: Vec::new(),
-                polls: Vec::new(),
-                depth_start: 0,
+                round: StagedBatch::default(),
                 last_send: (u64::MAX, 0),
-                rejected: 0,
             })
             .collect()
     }
 
-    /// Merge one epoch round's per-worker traffic back into the shared
-    /// interconnect state, replaying the accepted sends **in the exact order
-    /// a serial run would have made them** (by cycle, ties broken by source
-    /// worker id — the serial tick order within a cycle). Returns the
-    /// resulting deliveries grouped per destination, each `(deliver_at,
-    /// packet)` strictly beyond `horizon` (the lookahead guarantee), for the
-    /// caller to hand to the next round's [`EpochLink::begin_round`].
-    pub fn merge_epoch(&mut self, horizon: u64, traffic: Vec<EpochTraffic>) -> Vec<Vec<(u64, Packet)>> {
-        assert_eq!(traffic.len(), self.n, "one traffic record per worker");
-        let mut out: Vec<Vec<(u64, Packet)>> = (0..self.n).map(|_| Vec::new()).collect();
-        // Queue-depth replay events per destination: (cycle, acting worker,
-        // +1 push / -1 pop), used to rebuild `queue_high_water` exactly.
-        let mut events: Vec<Vec<(u64, usize, i64)>> = (0..self.n).map(|_| Vec::new()).collect();
-        let mut depth_start = vec![0u64; self.n];
-        let mut staged_all: Vec<(u64, usize, Packet)> = Vec::new();
-        for (w, t) in traffic.into_iter().enumerate() {
-            debug_assert_eq!(t.src, w, "traffic records must arrive in worker order");
-            self.stats.rejected += t.rejected;
-            self.stats.delivered += t.polls.len() as u64;
-            self.link_stats[w].delivered += t.polls.len() as u64;
-            depth_start[w] = t.depth_start;
-            for &c in &t.polls {
-                events[w].push((c, w, -1));
-            }
-            for (c, pkt) in t.staged {
-                staged_all.push((c, w, pkt));
-            }
-        }
-        // Stable sort: each source's stage list is already cycle-ordered, so
-        // sorting by cycle alone leaves same-cycle sends in source-id order —
-        // exactly the order serial ticking calls `send` in.
-        staged_all.sort_by_key(|&(c, _, _)| c);
-        for (c, src, pkt) in staged_all {
-            // Same bookkeeping as `send`, minus the issue-width gate: the
-            // link already enforced it with an identical per-cycle ledger.
-            let (cycle, count) = &mut self.last_send[src];
-            if *cycle != c {
-                *cycle = c;
-                *count = 0;
-            }
-            *count += 1;
-            self.stats.sent += 1;
-            self.link_stats[pkt.dst.0 as usize].sent += 1;
-            let nth = self.sends_seen;
-            self.sends_seen += 1;
-            if self.faults.drop_for(nth) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            let mut lat = self.latency(pkt.src, pkt.dst);
-            if let Some(extra) = self.faults.delay_for(nth) {
-                lat += extra;
-                self.stats.delayed += 1;
-            }
-            let deliver_at = c + lat;
-            debug_assert!(
-                deliver_at > horizon,
-                "lookahead violated: send at {c} delivers at {deliver_at} inside horizon {horizon}"
-            );
-            self.stats.total_latency += lat;
-            let dst = pkt.dst.0 as usize;
-            events[dst].push((c, src, 1));
-            out[dst].push((deliver_at, pkt));
-        }
-        for (dst, ev) in events.iter_mut().enumerate() {
-            // Serial order within a cycle is worker-id order: dst pops during
-            // its own tick, sources push during theirs.
-            ev.sort_by_key(|&(c, actor, _)| (c, actor));
-            let mut depth = depth_start[dst] as i64;
-            let ls = &mut self.link_stats[dst];
-            for &(_, _, delta) in ev.iter() {
-                depth += delta;
-                debug_assert!(depth >= 0, "queue depth replay went negative");
-                if delta > 0 {
-                    ls.queue_high_water = ls.queue_high_water.max(depth as u64);
-                }
-            }
-        }
-        out
-    }
-
-    /// Re-attach the per-worker queues after the final epoch round. `pending`
-    /// is the last [`Noc::merge_epoch`] result that was never handed to a
-    /// next round; its deliveries land *behind* whatever is still queued
-    /// (they were sent later than anything the link already holds).
+    /// Re-attach the per-worker queues after the final epoch round.
+    /// `pending` holds the committed deliveries that were never handed to a
+    /// round; they land *behind* whatever is still queued (they were sent
+    /// later than anything the link already holds).
     pub fn absorb_epoch(&mut self, links: Vec<EpochLink>, pending: Vec<Vec<(u64, Packet)>>) {
         assert_eq!(links.len(), self.n);
         assert_eq!(pending.len(), self.n);
@@ -567,6 +463,20 @@ impl Noc {
             self.inbound[w] = q;
         }
     }
+}
+
+/// Whether a per-cycle issue ledger `(cycle, count)` has no slot left at
+/// `now` for a link that admits `width` sends per cycle.
+fn issue_full((cycle, count): (u64, u32), now: u64, width: u32) -> bool {
+    cycle == now && count >= width
+}
+
+/// Count one send at `now` on a per-cycle issue ledger.
+fn issue(ledger: &mut (u64, u32), now: u64) {
+    if ledger.0 != now {
+        *ledger = (now, 0);
+    }
+    ledger.1 += 1;
 }
 
 /// The worker-facing face of the interconnect: what a `PartitionWorker`
@@ -597,8 +507,9 @@ impl Link for Noc {
 /// One worker's detached view of the interconnect during an epoch round:
 /// the worker consumes deliveries from its own queue and stages outbound
 /// sends locally, with zero shared state — which is what lets every worker
-/// run on its own thread. Created by [`Noc::begin_epoch`]; traffic is
-/// reconciled by [`Noc::merge_epoch`] at the barrier.
+/// run on its own thread. Created by [`Noc::begin_epoch`]; each round's
+/// traffic is harvested as a [`StagedBatch`] and reconciled by the
+/// [`EpochMerger`].
 #[derive(Debug, PartialEq)]
 pub struct EpochLink {
     id: usize,
@@ -606,39 +517,27 @@ pub struct EpochLink {
     issue_width: u32,
     /// This worker's inbound deliveries `(deliver_at, packet)`, FIFO.
     queue: VecDeque<(u64, Packet)>,
-    /// Outbound sends this round, `(cycle, packet)`, in send order.
-    staged: Vec<(u64, Packet)>,
-    /// Cycles at which this worker consumed a delivery this round.
-    polls: Vec<u64>,
-    /// Queue depth at the start of the round (after deliveries appended).
-    depth_start: u64,
+    /// This round's traffic: sends and polls in the order the worker made
+    /// them, plus rejections.
+    round: StagedBatch,
     /// Per-cycle issue ledger, same semantics as the shared one.
     last_send: (u64, u32),
-    rejected: u64,
 }
 
 impl EpochLink {
-    /// Start a round: append the deliveries produced by the previous
-    /// round's merge (all strictly beyond the previous horizon, hence
-    /// behind anything still queued) and reset the round-local traffic log.
+    /// Start a round: append the deliveries committed since the lane last
+    /// ran (all strictly beyond its previous horizon, hence behind anything
+    /// still queued).
     pub fn begin_round(&mut self, deliveries: Vec<(u64, Packet)>) {
+        debug_assert!(self.round.is_empty(), "previous round not harvested");
         self.queue.extend(deliveries);
-        self.depth_start = self.queue.len() as u64;
-        self.staged.clear();
-        self.polls.clear();
-        self.rejected = 0;
     }
 
-    /// End a round: hand the recorded traffic to [`Noc::merge_epoch`].
-    pub fn harvest(&mut self) -> EpochTraffic {
-        EpochTraffic {
-            src: self.id,
-            staged: std::mem::take(&mut self.staged),
-            polls: std::mem::take(&mut self.polls),
-            rejected: std::mem::take(&mut self.rejected),
-            depth_start: self.depth_start,
-            depth_end: self.queue.len() as u64,
-        }
+    /// End a round: hand its traffic over as a one-lane [`StagedBatch`].
+    /// The lane made its sends and polls in cycle order with a constant
+    /// source, so they are already in `(cycle, lane)` order.
+    pub fn harvest(&mut self) -> StagedBatch {
+        std::mem::take(&mut self.round)
     }
 
     /// The earliest cycle `> now` at which the queue front becomes (or
@@ -661,7 +560,7 @@ impl Link for EpochLink {
         debug_assert_eq!(dst.0 as usize, self.id, "epoch link polled for another worker");
         match self.queue.front() {
             Some((ready, _)) if *ready <= now => {
-                self.polls.push(now);
+                self.round.polls.push((now, self.id as u32));
                 Some(self.queue.pop_front().expect("front checked").1)
             }
             _ => None,
@@ -684,51 +583,21 @@ impl Link for EpochLink {
             pkt.dst.0 as usize, self.id,
             "workers never send to themselves over the NoC"
         );
-        let (cycle, count) = &mut self.last_send;
-        if *cycle == now && *count >= self.issue_width {
-            self.rejected += 1;
+        if issue_full(self.last_send, now, self.issue_width) {
+            self.round.rejected += 1;
             return Err(NocBusy);
         }
-        if *cycle != now {
-            *cycle = now;
-            *count = 0;
-        }
-        *count += 1;
-        self.staged.push((now, pkt));
+        issue(&mut self.last_send, now);
+        self.round.sends.push((now, src as u32, pkt));
         Ok(())
     }
 }
 
-/// One worker's traffic log for one epoch round, produced by
-/// [`EpochLink::harvest`] and consumed by [`Noc::merge_epoch`].
-#[derive(Debug)]
-pub struct EpochTraffic {
-    src: usize,
-    staged: Vec<(u64, Packet)>,
-    polls: Vec<u64>,
-    rejected: u64,
-    depth_start: u64,
-    depth_end: u64,
-}
-
-impl EpochTraffic {
-    /// True when the worker's delivery queue was empty at harvest time —
-    /// the epoch scheduler uses this to decide whether a freshly merged
-    /// delivery is the worker's next wake-up (a non-empty queue means an
-    /// older front head-of-line blocks it, and the worker's own exit hint
-    /// already accounts for that front).
-    pub fn queue_drained(&self) -> bool {
-        self.depth_end == 0
-    }
-}
-
-/// One subtree's worth of epoch-round traffic, shaped for the parallel
-/// **hierarchical merge**: every field is kept in the exact serial replay
-/// order, and [`StagedBatch::merge`] combines two batches with an
-/// order-preserving two-pointer merge — so the content of the combining
-/// tree's root is deterministic no matter which thread performs which
-/// merge, and equals what a serial pass over the lanes would have built.
-#[derive(Debug, PartialEq)]
+/// Epoch-round traffic of one or more lanes, each field kept in the exact
+/// serial replay order. [`StagedBatch::fold`] combines two batches so that
+/// any grouping and any order of folds over a round's lanes gives the same
+/// batch: the one a serial pass over the lanes would have built.
+#[derive(Debug, Default, PartialEq)]
 pub struct StagedBatch {
     /// Accepted sends `(cycle, src, packet)`, sorted by `(cycle, src)` —
     /// the serial send order (workers tick in id order within a cycle).
@@ -741,59 +610,14 @@ pub struct StagedBatch {
 }
 
 impl StagedBatch {
-    /// The identity element of [`StagedBatch::merge`] (used to pad the
-    /// combining tree to a power-of-two leaf count).
-    pub fn empty() -> Self {
-        StagedBatch {
-            sends: Vec::new(),
-            polls: Vec::new(),
-            rejected: 0,
-        }
-    }
-
-    /// Convert one lane's round traffic into a single-leaf batch. The
-    /// lane's stage list is chronologically ordered with a constant source,
-    /// so it is already `(cycle, src)`-sorted; likewise its polls.
-    pub fn from_traffic(t: EpochTraffic) -> Self {
-        let src = t.src as u32;
-        StagedBatch {
-            sends: t.staged.into_iter().map(|(c, p)| (c, src, p)).collect(),
-            polls: t.polls.into_iter().map(|c| (c, src)).collect(),
-            rejected: t.rejected,
-        }
-    }
-
-    /// Deterministic pairwise combine: order-preserving merges of the two
-    /// sorted sequences. Called concurrently from whichever thread
-    /// completes a combining-tree node second; associativity of sorted
-    /// merge makes the root independent of execution interleaving.
-    pub fn merge(a: Self, b: Self) -> Self {
-        fn merge_by<T, K: Ord>(a: Vec<T>, b: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-            loop {
-                match (ia.peek(), ib.peek()) {
-                    (Some(x), Some(y)) => {
-                        // `<=` keeps the left subtree first on ties — the
-                        // stable order a serial concat-then-sort would give.
-                        if key(x) <= key(y) {
-                            out.push(ia.next().expect("peeked"));
-                        } else {
-                            out.push(ib.next().expect("peeked"));
-                        }
-                    }
-                    (Some(_), None) => out.push(ia.next().expect("peeked")),
-                    (None, Some(_)) => out.push(ib.next().expect("peeked")),
-                    (None, None) => break,
-                }
-            }
-            out
-        }
-        StagedBatch {
-            sends: merge_by(a.sends, b.sends, |&(c, s, _)| (c, s)),
-            polls: merge_by(a.polls, b.polls, |&(c, d)| (c, d)),
-            rejected: a.rejected + b.rejected,
-        }
+    /// Fold `other` into this batch. Every key is `(cycle, lane)`, two
+    /// lanes never tie, and a lane's entries of one round travel in one
+    /// batch already in order, so the sorted result does not depend on
+    /// which lanes were folded first.
+    pub fn fold(&mut self, other: StagedBatch) {
+        fold_sorted(&mut self.sends, other.sends, |&(c, s, _)| (c, s));
+        fold_sorted(&mut self.polls, other.polls, |&p| p);
+        self.rejected += other.rejected;
     }
 
     /// True when the batch carries no traffic at all.
@@ -802,17 +626,29 @@ impl StagedBatch {
     }
 }
 
+/// Fold the `key`-sorted run `b` into the `key`-sorted `a`: append plus a
+/// stable sort, which merges two presorted runs in linear time and keeps
+/// `a`'s entries first on a tie. The one merge rule of the epoch engine:
+/// lane traffic, round traces and the merger's uncommitted sends all fold
+/// through it.
+pub fn fold_sorted<T, K: Ord>(a: &mut Vec<T>, b: Vec<T>, key: impl FnMut(&T) -> K) {
+    if a.is_empty() {
+        *a = b;
+    } else if !b.is_empty() {
+        a.extend(b);
+        a.sort_by_key(key);
+    }
+}
+
 /// Cross-round reconciliation state for the per-pair-lookahead scheduler.
 ///
-/// With one global horizon every round's sends can be replayed at its own
-/// barrier: the next round starts strictly beyond the horizon, so no later
-/// send can precede them in serial order. Per-lane horizons break that — a
-/// lane with a short horizon may, in a *later* round, stage sends that
-/// serially precede sends a far-ahead lane staged *earlier*. The merger
-/// therefore buffers staged sends across rounds and only **commits** the
-/// prefix strictly below a caller-supplied bound (the GVT — a proven lower
-/// bound on every cycle any lane can still act at), in `(cycle, src)`
-/// order. That keeps the three order-sensitive artefacts exact:
+/// Under per-lane horizons a round's sends cannot be replayed at its own
+/// barrier: a lane with a short horizon may, in a *later* round, stage
+/// sends that serially precede sends a far-ahead lane staged *earlier*.
+/// The merger therefore buffers staged sends across rounds and only
+/// **commits** the prefix strictly below a caller-supplied bound (the GVT
+/// — a proven lower bound on every cycle any lane can still act at), in
+/// `(cycle, src)` order. That keeps the three order-sensitive artefacts exact:
 /// fault-injection ordinals (`sends_seen`), the per-source issue ledger,
 /// and per-destination `queue_high_water` replay. Order-free sums
 /// (delivered/rejected counts) are applied as traffic arrives.
@@ -847,9 +683,9 @@ impl EpochMerger {
     }
 
     /// Fold one round's combined traffic in: apply the order-free sums to
-    /// the shared stats immediately, buffer the depth pop events, and merge
-    /// the staged sends into the uncommitted buffer (two sorted sequences —
-    /// rounds may interleave in cycle order under per-lane horizons).
+    /// the shared stats immediately, buffer the depth pop events, and fold
+    /// the staged sends into the uncommitted buffer (rounds may interleave
+    /// in cycle order under per-lane horizons).
     pub fn absorb(&mut self, noc: &mut Noc, batch: StagedBatch) {
         noc.stats.rejected += batch.rejected;
         for &(c, dst) in &batch.polls {
@@ -857,17 +693,7 @@ impl EpochMerger {
             noc.link_stats[dst as usize].delivered += 1;
             self.events[dst as usize].push((c, dst, -1));
         }
-        if self.staged.is_empty() {
-            self.staged = batch.sends;
-        } else if !batch.sends.is_empty() {
-            let old = std::mem::take(&mut self.staged);
-            self.staged = StagedBatch {
-                sends: old,
-                polls: Vec::new(),
-                rejected: 0,
-            }
-            .merge_sends(batch.sends);
-        }
+        fold_sorted(&mut self.staged, batch.sends, |&(c, s, _)| (c, s));
     }
 
     /// Earliest cycle at which an uncommitted staged send could reach each
@@ -886,11 +712,10 @@ impl EpochMerger {
     }
 
     /// Commit every staged send with `cycle < bound` (`None` commits all —
-    /// the end-of-epoch flush) in `(cycle, src)` order, replaying the exact
-    /// serial bookkeeping minus the issue-width gate (the lane's own ledger
-    /// already enforced it): shared per-source ledger, `sends_seen` fault
-    /// ordinals, drop/delay faults, latency stats, and per-destination
-    /// queue-depth/high-water replay. Returns the resulting deliveries per
+    /// the end-of-epoch flush) in `(cycle, src)` order through the same
+    /// accept step [`Noc::send`] takes (the lane's own ledger already passed
+    /// the issue-width gate), then replay the per-destination queue depth
+    /// and high-water marks. Returns the resulting deliveries per
     /// destination (each `(deliver_at, packet)`, in send order — the FIFO
     /// order of the serial channel) and the number of sends committed.
     pub fn commit(
@@ -916,32 +741,12 @@ impl EpochMerger {
                 "staged send at {c} precedes the committed frontier {}",
                 self.committed_below
             );
-            let src = src as usize;
-            let (cycle, count) = &mut noc.last_send[src];
-            if *cycle != c {
-                *cycle = c;
-                *count = 0;
+            if let Some(at) = noc.accept(c, &pkt) {
+                let dst = pkt.dst.0 as usize;
+                self.events[dst].push((c, src, 1));
+                out[dst].push((at, pkt));
             }
-            *count += 1;
-            noc.stats.sent += 1;
-            noc.link_stats[pkt.dst.0 as usize].sent += 1;
-            let nth = noc.sends_seen;
-            noc.sends_seen += 1;
-            if noc.faults.drop_for(nth) {
-                noc.stats.dropped += 1;
-                continue;
-            }
-            let mut lat = noc.latency(pkt.src, pkt.dst);
-            if let Some(extra) = noc.faults.delay_for(nth) {
-                lat += extra;
-                noc.stats.delayed += 1;
-            }
-            noc.stats.total_latency += lat;
-            let dst = pkt.dst.0 as usize;
-            self.events[dst].push((c, src as u32, 1));
-            out[dst].push((c + lat, pkt));
         }
-        let committed = cut;
         // Apply the depth events now safely ordered: every event below the
         // bound is in the buffer (all pops at executed cycles were
         // reported; all pushes below the bound were committed above), and
@@ -971,27 +776,12 @@ impl EpochMerger {
         if let Some(b) = bound {
             self.committed_below = b;
         }
-        (out, committed)
+        (out, cut)
     }
 
     /// True when nothing is left to reconcile — the end-of-epoch audit.
     pub fn is_drained(&self) -> bool {
         self.staged.is_empty() && self.events.iter().all(Vec::is_empty)
-    }
-}
-
-impl StagedBatch {
-    /// Internal helper: merge another sorted send list into this batch's.
-    fn merge_sends(self, other: Vec<(u64, u32, Packet)>) -> Vec<(u64, u32, Packet)> {
-        StagedBatch::merge(
-            self,
-            StagedBatch {
-                sends: other,
-                polls: Vec::new(),
-                rejected: 0,
-            },
-        )
-        .sends
     }
 }
 
@@ -1056,11 +846,8 @@ impl Wire for EpochLink {
         for e in &self.queue {
             e.put(out);
         }
-        self.staged.put(out);
-        self.polls.put(out);
-        self.depth_start.put(out);
+        self.round.put(out);
         self.last_send.put(out);
-        self.rejected.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Self {
         EpochLink {
@@ -1071,11 +858,8 @@ impl Wire for EpochLink {
                 let n = u64::get(r) as usize;
                 (0..n).map(|_| r.get()).collect()
             },
-            staged: r.get(),
-            polls: r.get(),
-            depth_start: r.get(),
+            round: r.get(),
             last_send: r.get(),
-            rejected: r.get(),
         }
     }
 }
@@ -1326,34 +1110,56 @@ mod tests {
         assert_eq!(Noc::new(Topology::Crossbar, 1, 3).min_hop_latency(), 3);
     }
 
-    /// Epoch round-trip: the same traffic pushed through detached links +
-    /// merge must leave the Noc in exactly the state direct sends produce.
+    /// Epoch round-trip: the same traffic pushed through detached links,
+    /// folded, absorbed and committed by an [`EpochMerger`] must leave the
+    /// Noc in exactly the state direct sends produce — including which
+    /// send the fault schedule's ordinals hit, since `send` and `commit`
+    /// share one accept step.
     #[test]
     fn epoch_links_replay_bit_identical() {
-        let run = |epoch: bool| -> (NocStats, Vec<LinkStats>, Vec<Option<Packet>>) {
+        use bionicdb_fpga::fault::FaultPlan;
+        let run = |epoch: bool| -> (NocStats, Vec<LinkStats>, Vec<Vec<Packet>>) {
             let mut noc = Noc::new(Topology::Crossbar, 3, 3);
+            // Ordinal 2 (worker 1's first send) is lost; ordinal 3 (its
+            // second) pays 10 extra cycles.
+            noc.set_faults(FaultPlan::none().drop_nth_send(2).delay_nth_send(3, 10).noc);
+            // Ordinal 0, queued before the epoch: worker 0 polls it at 4.
+            noc.send(1, req_pkt(2, 0)).unwrap();
             if epoch {
+                let mut merger = EpochMerger::new(&noc);
                 let mut links = noc.begin_epoch();
                 for l in &mut links {
                     l.begin_round(Vec::new());
                 }
-                // Worker 0 sends twice at cycle 5 (second rejected), worker
-                // 1 sends at 5 and 6.
+                assert!(Link::poll(&mut links[0], 4, PartitionId(0)).is_some());
                 Link::send(&mut links[0], 5, req_pkt(0, 2)).unwrap();
                 assert_eq!(Link::send(&mut links[0], 5, req_pkt(0, 1)), Err(NocBusy));
+                Link::send(&mut links[0], 7, req_pkt(0, 2)).unwrap();
                 Link::send(&mut links[1], 5, req_pkt(1, 2)).unwrap();
                 Link::send(&mut links[1], 6, req_pkt(1, 0)).unwrap();
-                let traffic = links.iter_mut().map(|l| l.harvest()).collect();
-                let deliveries = noc.merge_epoch(6, traffic);
+                // Fold the lanes in reverse: the fold order must not matter.
+                let mut batch = StagedBatch::default();
+                for l in links.iter_mut().rev() {
+                    batch.fold(l.harvest());
+                }
+                merger.absorb(&mut noc, batch);
+                let (deliveries, committed) = merger.commit(&mut noc, None);
+                assert_eq!(committed, 4);
+                assert!(merger.is_drained());
                 noc.absorb_epoch(links, deliveries);
             } else {
+                // Serial tick order: cycle by cycle, workers in id order.
+                assert!(noc.poll(4, PartitionId(0)).is_some());
                 noc.send(5, req_pkt(0, 2)).unwrap();
                 assert_eq!(noc.send(5, req_pkt(0, 1)), Err(NocBusy));
                 noc.send(5, req_pkt(1, 2)).unwrap();
                 noc.send(6, req_pkt(1, 0)).unwrap();
+                noc.send(7, req_pkt(0, 2)).unwrap();
             }
-            let drained: Vec<Option<Packet>> = (0..3)
-                .map(|w| noc.poll(100, PartitionId(w)))
+            let s = noc.stats();
+            assert_eq!((s.sent, s.dropped, s.delayed, s.rejected), (5, 1, 1, 1));
+            let drained = (0..3)
+                .map(|w| std::iter::from_fn(|| noc.poll(100, PartitionId(w))).collect())
                 .collect();
             (noc.stats(), noc.link_stats().to_vec(), drained)
         };
@@ -1361,18 +1167,94 @@ mod tests {
         assert_eq!(serial.0, epoch.0, "NocStats diverged");
         assert_eq!(serial.1, epoch.1, "LinkStats diverged");
         assert_eq!(serial.2, epoch.2, "delivered packets diverged");
+        assert_eq!(serial.1[2].queue_high_water, 2);
     }
 
     use proptest::prelude::*;
 
+    /// One lane's traffic for a round: sends `(cycle, dst offset)`, poll
+    /// cycles and rejections, each list in any order (sorted on use).
+    type LaneTraffic = (Vec<(u64, usize)>, Vec<u64>, u64);
+
+    fn lane_traffic() -> impl Strategy<Value = LaneTraffic> {
+        // A narrow cycle range so that lanes often act in the same cycle.
+        (
+            prop::collection::vec((0u64..12, 0usize..5), 0..6),
+            prop::collection::vec(0u64..12, 0..4),
+            0u64..3,
+        )
+    }
+
+    /// The batch lane `lane` of a 6-worker machine harvests: its sends and
+    /// polls in cycle order, as the lane made them.
+    fn lane_batch(lane: usize, (sends, polls, rejected): &LaneTraffic) -> StagedBatch {
+        let mut sends = sends.clone();
+        sends.sort_by_key(|&(c, _)| c);
+        let mut polls = polls.clone();
+        polls.sort_unstable();
+        StagedBatch {
+            sends: sends
+                .into_iter()
+                .enumerate()
+                .map(|(k, (c, off))| {
+                    let mut pkt = req_pkt(lane as u16, ((lane + 1 + off) % 6) as u16);
+                    pkt.seq = k as u64;
+                    (c, lane as u32, pkt)
+                })
+                .collect(),
+            polls: polls.into_iter().map(|c| (c, lane as u32)).collect(),
+            rejected: *rejected,
+        }
+    }
+
     proptest! {
-        /// The lookahead caches (`pair_latency` matrix, `min_incoming` row
-        /// minima, `min_hop_latency` global minimum) are built once at
+        /// The property the threaded and fleet placements rely on: folding
+        /// a round's lane batches in any grouping and any order gives the
+        /// batch of the lane-order fold, so which thread or chip ran which
+        /// lane cannot show in the committed traffic.
+        #[test]
+        fn batch_folds_agree_in_any_grouping_and_order(
+            lanes in prop::collection::vec(lane_traffic(), 1..7),
+            order_keys in prop::collection::vec(any::<u64>(), 6),
+            cuts in prop::collection::vec(any::<bool>(), 6),
+            reverse_groups in any::<bool>(),
+        ) {
+            let n = lanes.len();
+            let mut reference = StagedBatch::default();
+            for (i, t) in lanes.iter().enumerate() {
+                reference.fold(lane_batch(i, t));
+            }
+            let sends_key = |b: &StagedBatch| -> Vec<(u64, u32)> {
+                b.sends.iter().map(|&(c, s, _)| (c, s)).collect()
+            };
+            let keys = sends_key(&reference);
+            prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "lane-order fold unsorted");
+            // Fold lanes into groups in shuffled order, then fold the groups.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| order_keys[i]);
+            let mut groups: Vec<StagedBatch> = Vec::new();
+            for (k, i) in order.into_iter().enumerate() {
+                if k == 0 || cuts[k] {
+                    groups.push(StagedBatch::default());
+                }
+                groups.last_mut().expect("a group is open").fold(lane_batch(i, &lanes[i]));
+            }
+            if reverse_groups {
+                groups.reverse();
+            }
+            let mut folded = StagedBatch::default();
+            for g in groups {
+                folded.fold(g);
+            }
+            prop_assert_eq!(folded, reference);
+        }
+
+        /// The lookahead cache (`pair_latency` matrix) is built once at
         /// construction and then trusted by the epoch scheduler's horizon
-        /// math. Pin them to freshly recomputed topology math across random
+        /// math, and `min_hop_latency` is its minimum over distinct pairs.
+        /// Pin both to freshly recomputed topology math across random
         /// configurations of every topology family, so the cache and the
-        /// definition can never drift apart again (the `min_incoming`
-        /// doc/definition mismatch this closes was exactly such a drift).
+        /// definition can never drift apart.
         #[test]
         fn lookahead_caches_match_recomputed_topology_math(
             which in 0usize..4,
@@ -1411,12 +1293,6 @@ mod tests {
                 // A single-worker interconnect has no incoming pairs at
                 // all; the documented fallback is the one-hop latency.
                 let expect = if n == 1 { hop } else { row_min };
-                prop_assert_eq!(
-                    noc.min_incoming_latency(PartitionId(dst as u16)),
-                    expect,
-                    "min_incoming {:?}",
-                    topology
-                );
                 global_min = global_min.min(expect);
             }
             prop_assert_eq!(noc.min_hop_latency(), global_min, "global {:?}", topology);
@@ -1425,7 +1301,7 @@ mod tests {
 
     /// Fleet wire codecs round-trip the exact structures the chip processes
     /// exchange: packets, detached epoch links (with queued deliveries,
-    /// staged sends, polls and issue-ledger state), and merged batches.
+    /// staged sends, polls and issue-ledger state), and folded batches.
     #[test]
     fn wire_codecs_round_trip_epoch_state() {
         use bionicdb_fpga::wire::{decode, encode};
@@ -1460,10 +1336,10 @@ mod tests {
         for l in &links {
             assert_eq!(&decode::<EpochLink>(&encode(l)), l);
         }
-        let batch = links
-            .iter_mut()
-            .map(|l| StagedBatch::from_traffic(l.harvest()))
-            .fold(StagedBatch::empty(), StagedBatch::merge);
+        let mut batch = StagedBatch::default();
+        for l in &mut links {
+            batch.fold(l.harvest());
+        }
         assert_eq!(decode::<StagedBatch>(&encode(&batch)), batch);
     }
 }

@@ -365,10 +365,7 @@ impl<S: BorrowMut<TpccBionic>> Workload for TpccWorkload<S> {
     }
 
     fn retry(&self) -> Option<RetryBudget> {
-        Some(RetryBudget {
-            max_attempts: 1000,
-            backoff_cycles: 0,
-        })
+        Some(RetryBudget { max_attempts: 1000 })
     }
 
     fn submit(&mut self, worker: usize, i: usize, blk: TxnBlock, rng: &mut SmallRng) {

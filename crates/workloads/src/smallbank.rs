@@ -583,10 +583,7 @@ impl<S: BorrowMut<SmallBankBionic>> Workload for SmallBankWorkload<S> {
     }
 
     fn retry(&self) -> Option<RetryBudget> {
-        Some(RetryBudget {
-            max_attempts: 1000,
-            backoff_cycles: 0,
-        })
+        Some(RetryBudget { max_attempts: 1000 })
     }
 
     fn submit(&mut self, worker: usize, i: usize, blk: TxnBlock, rng: &mut SmallRng) {
@@ -793,14 +790,9 @@ mod tests {
             blocks.push((w, blk));
         }
         sb.machine.run_to_quiescence_limit(1 << 26);
-        let out = sb.machine.retry_to_completion(
-            &blocks,
-            RetryBudget {
-                max_attempts: 128,
-                backoff_cycles: 0,
-            },
-            1 << 26,
-        );
+        let out =
+            sb.machine
+                .retry_to_completion(&blocks, RetryBudget { max_attempts: 128 }, 1 << 26);
         assert!(out.all_committed(), "SmallBank ops failed to converge");
     }
 

@@ -1537,14 +1537,9 @@ mod tests {
             .zip(no_blocks.iter().copied())
             .chain(pay_workers.iter().copied().zip(pay_blocks.iter().copied()))
             .collect();
-        let out = sys.machine.retry_to_completion(
-            &all,
-            RetryBudget {
-                max_attempts: 64,
-                backoff_cycles: 0,
-            },
-            1 << 28,
-        );
+        let out = sys
+            .machine
+            .retry_to_completion(&all, RetryBudget { max_attempts: 64 }, 1 << 28);
         assert!(out.all_committed(), "retries must converge: {out:?}");
         assert_eq!(out.committed, 16);
 

@@ -122,14 +122,7 @@ fn conservation_run(topology: Topology) {
         blocks.push((origin, blk));
     }
     db.run_to_quiescence_limit(1 << 28);
-    let out = db.retry_to_completion(
-        &blocks,
-        RetryBudget {
-            max_attempts: 128,
-            backoff_cycles: 0,
-        },
-        1 << 28,
-    );
+    let out = db.retry_to_completion(&blocks, RetryBudget { max_attempts: 128 }, 1 << 28);
     assert!(out.all_committed(), "retries converge: {out:?}");
 
     let total1: u64 = (0..workers)
@@ -215,14 +208,7 @@ fn transfers_survive_injected_message_loss() {
         blocks.push((origin, blk));
     }
     db.run_to_quiescence_limit(1 << 28);
-    let out = db.retry_to_completion(
-        &blocks,
-        RetryBudget {
-            max_attempts: 128,
-            backoff_cycles: 0,
-        },
-        1 << 28,
-    );
+    let out = db.retry_to_completion(&blocks, RetryBudget { max_attempts: 128 }, 1 << 28);
     assert!(out.all_committed(), "losses absorbed by retry: {out:?}");
 
     let total: u64 = (0..workers)
