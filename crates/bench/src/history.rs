@@ -40,11 +40,14 @@ pub struct Entry {
     /// CPUs available to the process that ran the bench (see
     /// [`host_cpus`]); absent on rows recorded before it was kept.
     pub host_cpus: Option<u64>,
+    /// The host that ran the bench (see [`host_key`]); absent on rows
+    /// recorded before it was kept.
+    pub host: Option<String>,
 }
 
 impl Entry {
     /// An entry for a run on this host: the required fields plus the
-    /// host's CPU count.
+    /// host's CPU count and key.
     pub fn basic(bench: &str, cycles_per_sec: f64, unix_secs: u64) -> Entry {
         Entry {
             bench: bench.to_string(),
@@ -54,6 +57,7 @@ impl Entry {
             committed_cycles: None,
             mlp_peak: None,
             host_cpus: Some(host_cpus()),
+            host: Some(host_key()),
         }
     }
 
@@ -78,6 +82,10 @@ impl Entry {
         if let Some(mlp) = self.mlp_peak {
             s.push_str(&format!(",\"mlp_peak\":{mlp}"));
         }
+        if let Some(host) = &self.host {
+            debug_assert_eq!(host, &sanitize_host(host), "host keys are sanitized");
+            s.push_str(&format!(",\"host\":\"{host}\""));
+        }
         if let Some(cpus) = self.host_cpus {
             s.push_str(&format!(",\"host_cpus\":{cpus}"));
         }
@@ -89,6 +97,35 @@ impl Entry {
 /// CPUs this process may run on (`available_parallelism`, 1 if unknown).
 pub fn host_cpus() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// This host's key: the CPU model from `/proc/cpuinfo` (`unknown` where
+/// there is none), `/`, and [`host_cpus`], sanitized by [`sanitize_host`].
+pub fn host_key() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| {
+            let (k, v) = l.split_once(':')?;
+            (k.trim() == "model name").then(|| v.trim())
+        })
+        .unwrap_or("unknown");
+    sanitize_host(&format!("{model}/{}", host_cpus()))
+}
+
+/// Replace every character outside `[A-Za-z0-9 ()@._/-]` with `_`, so a
+/// host key holds no quote, comma or brace for [`parse_line`]'s substring
+/// scan to trip on.
+fn sanitize_host(raw: &str) -> String {
+    raw.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || " ()@._/-".contains(c) {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
 /// Wall clock now, Unix seconds (0 if the clock is before the epoch).
@@ -143,6 +180,7 @@ pub fn parse_line(line: &str) -> Option<Entry> {
     let committed_cycles = field(line, "\"committed_cycles\":").and_then(|v| v.parse().ok());
     let mlp_peak = field(line, "\"mlp_peak\":").and_then(|v| v.parse().ok());
     let host_cpus = field(line, "\"host_cpus\":").and_then(|v| v.parse().ok());
+    let host = field(line, "\"host\":\"").and_then(|v| Some(v[..v.rfind('"')?].to_string()));
     Some(Entry {
         bench: bench.to_string(),
         cycles_per_sec,
@@ -151,6 +189,7 @@ pub fn parse_line(line: &str) -> Option<Entry> {
         committed_cycles,
         mlp_peak,
         host_cpus,
+        host,
     })
 }
 
@@ -187,8 +226,12 @@ pub fn parse_salvage(text: &str) -> Parsed {
     Parsed {
         entries: parse(text),
         torn_tail: tail
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.ends_with('}'))
+            .filter(|l| {
+                // Judged trimmed, reported verbatim: a host key has spaces
+                // a cut can end on.
+                let l = l.trim();
+                !l.is_empty() && !l.ends_with('}')
+            })
             .map(str::to_string),
     }
 }
@@ -281,6 +324,17 @@ mod tests {
         assert_eq!(parsed.bench, "parsim-matrix");
         assert!((parsed.cycles_per_sec - 123456.789).abs() < 1e-3);
         assert_eq!(parsed.unix_secs, 1_754_000_000);
+        assert_eq!(parsed.host, Some(host_key()));
+        // A CPU model with a comma and a quote still round-trips, as its
+        // sanitized key, without disturbing the fields around it.
+        let mut e = e;
+        e.host = Some(sanitize_host("Intel(R) Xeon(R) \"Gold\" 6148, 2.40GHz/2"));
+        assert_eq!(
+            e.host.as_deref(),
+            Some("Intel(R) Xeon(R) _Gold_ 6148_ 2.40GHz/2")
+        );
+        let parsed = parse_line(&e.render()).expect("parses");
+        assert_eq!(parsed, e);
     }
 
     #[test]
@@ -349,12 +403,15 @@ mod tests {
         assert_eq!(parsed.p99_ns, None);
         assert_eq!(parsed.committed_cycles, None);
         assert_eq!(parsed.host_cpus, None);
+        assert_eq!(parsed.host, None);
     }
 
     #[test]
     fn new_entries_record_the_host() {
         let e = entry("simperf-fast", 1.0, 1);
         assert_eq!(e.host_cpus, Some(host_cpus()));
+        assert_eq!(e.host, Some(host_key()));
+        assert!(host_key().ends_with(&format!("/{}", host_cpus())));
         assert!(e.render().ends_with(&format!(",\"host_cpus\":{}}}", host_cpus())));
     }
 

@@ -31,27 +31,32 @@ use std::sync::{Arc, OnceLock};
 use crate::fault::DramFaults;
 use crate::timing::{Cycle, FpgaConfig};
 
-/// Bytes in one lazily allocated memory page.
-const PAGE_SIZE: usize = 1 << 12;
+/// Bytes in one lazily allocated memory frame. Hash-index bucket arrays
+/// are written one 8-byte head at a scattered address at a time, so the
+/// host memory behind a sparse image is about one frame per written word;
+/// 512 bytes keeps that close to the bytes written (see DESIGN.md, "DRAM
+/// banks").
+const FRAME_SIZE: usize = 1 << 9;
 
-/// Little-endian 8-byte words in one page.
-const PAGE_WORDS: usize = PAGE_SIZE / 8;
+/// Little-endian 8-byte words in one frame.
+const FRAME_WORDS: usize = FRAME_SIZE / 8;
 
-/// Page slots in one lazily allocated directory segment (2 MiB of address
-/// space), so a 1 GiB image needs only 512 top-level slots.
-const SEGMENT_PAGES: usize = 1 << 9;
+/// Frame slots in one lazily allocated directory segment (256 KiB of
+/// address space, 8 KiB of slots).
+const SEGMENT_FRAMES: usize = 1 << 9;
 
-/// One page: byte `8 * w + i` of the page is byte `i` of the little-endian
-/// encoding of word `w`.
-type Page = Box<[AtomicU64]>;
+/// One frame: byte `8 * w + i` of the frame is byte `i` of the
+/// little-endian encoding of word `w`. A boxed array is a thin pointer, so
+/// a slot costs a [`OnceLock`] plus 8 bytes.
+type Frame = Box<[AtomicU64; FRAME_WORDS]>;
 
-/// One directory segment: [`SEGMENT_PAGES`] lazily allocated page slots.
-type Segment = Box<[OnceLock<Page>]>;
+/// One directory segment: [`SEGMENT_FRAMES`] lazily allocated frame slots.
+type Segment = Box<[OnceLock<Frame>; SEGMENT_FRAMES]>;
 
 /// The functional byte image, shared between a [`Dram`] and every bank
-/// created from it with [`Dram::bank`]. Pages are words of [`AtomicU64`],
+/// created from it with [`Dram::bank`]. Frames are words of [`AtomicU64`],
 /// so banks on different threads can touch memory without `unsafe`. They
-/// sit behind a two-level directory, segments of page slots, and both
+/// sit behind a two-level directory, segments of frame slots, and both
 /// levels are allocated (zeroed) on first write; [`OnceLock`] makes each
 /// allocation race-free.
 ///
@@ -65,45 +70,48 @@ type Segment = Box<[OnceLock<Page>]>;
 /// just its own bytes rather than a load and a store of the whole word.
 struct PageStore {
     segments: Box<[OnceLock<Segment>]>,
-    npages: usize,
+    nframes: usize,
 }
 
 impl PageStore {
-    fn new(npages: usize) -> Self {
+    fn new(nframes: usize) -> Self {
         PageStore {
-            segments: (0..npages.div_ceil(SEGMENT_PAGES))
+            segments: (0..nframes.div_ceil(SEGMENT_FRAMES))
                 .map(|_| OnceLock::new())
                 .collect(),
-            npages,
+            nframes,
         }
     }
 
     fn capacity(&self) -> u64 {
-        (self.npages * PAGE_SIZE) as u64
+        (self.nframes * FRAME_SIZE) as u64
     }
 
     fn check(&self, idx: usize) {
-        assert!(idx < self.npages, "DRAM address out of range (page {idx})");
+        assert!(
+            idx < self.nframes,
+            "DRAM address out of range (frame {idx})"
+        );
     }
 
-    /// The page backing `idx`, allocated (zeroed) on first use along with
+    /// The frame backing `idx`, allocated (zeroed) on first use along with
     /// its segment.
-    fn page(&self, idx: usize) -> &[AtomicU64] {
+    fn frame(&self, idx: usize) -> &[AtomicU64] {
         self.check(idx);
-        let segment = self.segments[idx / SEGMENT_PAGES]
-            .get_or_init(|| (0..SEGMENT_PAGES).map(|_| OnceLock::new()).collect());
-        segment[idx % SEGMENT_PAGES]
-            .get_or_init(|| (0..PAGE_WORDS).map(|_| AtomicU64::new(0)).collect())
+        let segment = self.segments[idx / SEGMENT_FRAMES]
+            .get_or_init(|| Box::new([const { OnceLock::new() }; SEGMENT_FRAMES]));
+        &segment[idx % SEGMENT_FRAMES]
+            .get_or_init(|| Box::new([const { AtomicU64::new(0) }; FRAME_WORDS]))[..]
     }
 
-    /// The page backing `idx` if it has been written, allocating nothing.
+    /// The frame backing `idx` if it has been written, allocating nothing.
     fn get(&self, idx: usize) -> Option<&[AtomicU64]> {
         self.check(idx);
-        let segment = self.segments[idx / SEGMENT_PAGES].get()?;
-        segment[idx % SEGMENT_PAGES].get().map(|p| &p[..])
+        let segment = self.segments[idx / SEGMENT_FRAMES].get()?;
+        segment[idx % SEGMENT_FRAMES].get().map(|f| &f[..])
     }
 
-    /// Every allocated page with its index, in address order.
+    /// Every allocated frame with its index, in address order.
     fn allocated(&self) -> impl Iterator<Item = (usize, &[AtomicU64])> {
         self.segments
             .iter()
@@ -112,7 +120,7 @@ impl PageStore {
             .flat_map(|(s, seg)| {
                 seg.iter()
                     .enumerate()
-                    .filter_map(move |(i, p)| p.get().map(|p| (s * SEGMENT_PAGES + i, &p[..])))
+                    .filter_map(move |(i, f)| f.get().map(|f| (s * SEGMENT_FRAMES + i, &f[..])))
             })
     }
 
@@ -120,27 +128,27 @@ impl PageStore {
         let mut addr = addr as usize;
         let mut data = data;
         while !data.is_empty() {
-            let page = self.page(addr / PAGE_SIZE);
-            let off = addr % PAGE_SIZE;
-            let n = (PAGE_SIZE - off).min(data.len());
-            write_words(&page[off / 8..], off % 8, &data[..n]);
+            let frame = self.frame(addr / FRAME_SIZE);
+            let off = addr % FRAME_SIZE;
+            let n = (FRAME_SIZE - off).min(data.len());
+            write_words(&frame[off / 8..], off % 8, &data[..n]);
             addr += n;
             data = &data[n..];
         }
     }
 
-    /// Read without allocating: unwritten pages yield zeros and stay
+    /// Read without allocating: unwritten frames yield zeros and stay
     /// unallocated, so reads never perturb the [`PageStore::digest`].
     fn read_into(&self, addr: u64, out: &mut [u8]) {
         let len = out.len();
         let mut addr = addr as usize;
         let mut filled = 0;
         while filled < len {
-            let off = addr % PAGE_SIZE;
-            let n = (PAGE_SIZE - off).min(len - filled);
+            let off = addr % FRAME_SIZE;
+            let n = (FRAME_SIZE - off).min(len - filled);
             let dst = &mut out[filled..filled + n];
-            match self.get(addr / PAGE_SIZE) {
-                Some(page) => read_words(&page[off / 8..], off % 8, dst),
+            match self.get(addr / FRAME_SIZE) {
+                Some(frame) => read_words(&frame[off / 8..], off % 8, dst),
                 None => dst.fill(0),
             }
             addr += n;
@@ -148,7 +156,7 @@ impl PageStore {
         }
     }
 
-    /// FNV-1a over allocated pages; see [`Dram::image_digest`].
+    /// FNV-1a over allocated frames; see [`Dram::image_digest`].
     fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -159,9 +167,9 @@ impl PageStore {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for (idx, page) in self.allocated() {
+        for (idx, frame) in self.allocated() {
             eat((idx as u64).to_le_bytes());
-            for w in page {
+            for w in frame {
                 eat(w.load(Ordering::Relaxed).to_le_bytes());
             }
         }
@@ -176,7 +184,7 @@ fn write_words(words: &[AtomicU64], skip: usize, data: &[u8]) {
     let mut data = data;
     if skip != 0 {
         let n = (8 - skip).min(data.len());
-        store_bytes(words.next().expect("in page"), skip, &data[..n]);
+        store_bytes(words.next().expect("in frame"), skip, &data[..n]);
         data = &data[n..];
     }
     let mut chunks = data.chunks_exact(8);
@@ -188,7 +196,7 @@ fn write_words(words: &[AtomicU64], skip: usize, data: &[u8]) {
     }
     let tail = chunks.remainder();
     if !tail.is_empty() {
-        store_bytes(words.next().expect("in page"), 0, tail);
+        store_bytes(words.next().expect("in frame"), 0, tail);
     }
 }
 
@@ -212,7 +220,7 @@ fn read_words(words: &[AtomicU64], skip: usize, out: &mut [u8]) {
     let mut out = out;
     if skip != 0 {
         let n = (8 - skip).min(out.len());
-        let w = words.next().expect("in page");
+        let w = words.next().expect("in frame");
         out[..n].copy_from_slice(&w[skip..skip + n]);
         out = &mut out[n..];
     }
@@ -222,7 +230,7 @@ fn read_words(words: &[AtomicU64], skip: usize, out: &mut [u8]) {
     }
     let tail = chunks.into_remainder();
     if !tail.is_empty() {
-        let w = words.next().expect("in page");
+        let w = words.next().expect("in frame");
         tail.copy_from_slice(&w[..tail.len()]);
     }
 }
@@ -230,7 +238,7 @@ fn read_words(words: &[AtomicU64], skip: usize, out: &mut [u8]) {
 impl std::fmt::Debug for PageStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageStore")
-            .field("pages", &self.npages)
+            .field("frames", &self.nframes)
             .field("allocated", &self.allocated().count())
             .finish()
     }
@@ -513,7 +521,7 @@ impl crate::wire::Wire for PortStats {
 }
 
 /// One journaled functional write: `(address, bytes)`. The fleet simulator
-/// replays these on remote copies of the page store to keep the functional
+/// replays these on remote copies of the frame store to keep the functional
 /// memory image coherent across process boundaries.
 pub type WriteJournal = Vec<(u64, Vec<u8>)>;
 
@@ -561,12 +569,12 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Create a DRAM of `size_bytes` capacity (rounded up to whole pages)
+    /// Create a DRAM of `size_bytes` capacity (rounded up to whole frames)
     /// with the timing parameters from `cfg`.
     pub fn new(cfg: &FpgaConfig, size_bytes: u64) -> Self {
-        let npages = (size_bytes as usize).div_ceil(PAGE_SIZE);
+        let nframes = (size_bytes as usize).div_ceil(FRAME_SIZE);
         Dram {
-            store: Arc::new(PageStore::new(npages)),
+            store: Arc::new(PageStore::new(nframes)),
             controllers: (0..cfg.dram_controllers)
                 .map(|_| Controller::default())
                 .collect(),
@@ -840,9 +848,9 @@ impl Dram {
         self.responses.iter().any(|q| !q.is_empty())
     }
 
-    /// FNV-1a digest over the allocated memory image (page index + contents
-    /// of every materialized page). Two runs that performed identical write
-    /// sequences allocate identical pages, so equal digests mean equal
+    /// FNV-1a digest over the allocated memory image (frame index + contents
+    /// of every materialized frame). Two runs that performed identical write
+    /// sequences allocate identical frames, so equal digests mean equal
     /// functional memory state; used by the strict-vs-fast-forward
     /// equivalence tests.
     pub fn image_digest(&self) -> u64 {
@@ -878,7 +886,7 @@ impl Dram {
     }
 
     /// Replay a journal captured on another view of (a copy of) this image.
-    /// Applies directly to the page store, bypassing this view's own
+    /// Applies directly to the frame store, bypassing this view's own
     /// journal — a relayed write must not echo back into the next journal.
     pub fn apply_write_journal(&mut self, entries: &[(u64, Vec<u8>)]) {
         for (addr, data) in entries {
@@ -959,9 +967,9 @@ mod tests {
     }
 
     #[test]
-    fn host_rw_spans_pages() {
+    fn host_rw_spans_frames() {
         let mut d = small_dram();
-        let addr = (PAGE_SIZE - 3) as u64;
+        let addr = (FRAME_SIZE - 3) as u64;
         let data: Vec<u8> = (0..10).collect();
         d.host_write(addr, &data);
         assert_eq!(d.host_read(addr, 10), data);
@@ -1218,9 +1226,45 @@ mod tests {
         let mut d = small_dram();
         d.host_write(0, &[1]);
         let before = d.image_digest();
-        // Reading a never-written page returns zeros without allocating it.
-        assert_eq!(d.host_read(5 * PAGE_SIZE as u64, 16), vec![0; 16]);
+        // Reading a never-written frame returns zeros without allocating it.
+        assert_eq!(d.host_read(5 * FRAME_SIZE as u64, 16), vec![0; 16]);
         assert_eq!(d.image_digest(), before);
+    }
+
+    /// A sparse hash directory costs host memory in proportion to the heads
+    /// written, not to its span: 2,000 scattered 8-byte heads in a 2 MiB
+    /// bucket array (2^18 buckets, TPC-C's `order_line` shape) touch about
+    /// 1,570 of its 4,096 frames, 0.77 MiB. The 1 MiB bound fails 4 KiB
+    /// frames, which would allocate nearly the full 2 MiB.
+    #[test]
+    fn scattered_bucket_heads_allocate_frames_not_the_directory() {
+        const BUCKETS: u64 = 1 << 18;
+        const HEADS: u64 = 2_000;
+        let base = 1u64 << 20;
+        let mut d = Dram::new(&FpgaConfig::default(), 4 << 20);
+        let bucket = |i: u64| {
+            // splitmix64: fixed, well-mixed bucket choices.
+            let mut z = i.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % BUCKETS
+        };
+        for i in 0..HEADS {
+            d.host_write_u64(base + 8 * bucket(i), i + 1);
+        }
+        let frames = d.store.allocated().count();
+        assert!(
+            frames * FRAME_SIZE <= 1 << 20,
+            "{frames} frames of {FRAME_SIZE} B for {HEADS} heads"
+        );
+        // Reading the whole directory back allocates nothing.
+        let digest = d.image_digest();
+        let image = d.host_read(base, (8 * BUCKETS) as usize);
+        assert_eq!(d.store.allocated().count(), frames);
+        assert_eq!(d.image_digest(), digest);
+        let distinct: std::collections::BTreeSet<u64> = (0..HEADS).map(bucket).collect();
+        let heads = image.chunks_exact(8).filter(|w| w != &[0; 8]).count();
+        assert_eq!(heads, distinct.len());
     }
 
     /// Two banks on two threads write interleaved, disjoint pieces of the
@@ -1232,9 +1276,10 @@ mod tests {
         const WORDS: u64 = 512;
         const ROUNDS: u8 = 60;
         let d = small_dram();
-        // Straddle a page boundary. Word `w` splits at byte `1 + w % 7`:
-        // bank 0 owns the bytes below the split, bank 1 the rest.
-        let base = PAGE_SIZE as u64 - 8 * (WORDS / 2);
+        // Straddle several frame boundaries. Word `w` splits at byte
+        // `1 + w % 7`: bank 0 owns the bytes below the split, bank 1 the
+        // rest.
+        let base = 8 * FRAME_SIZE as u64 - 8 * (WORDS / 2);
         let pieces = |owner: usize| {
             (0..WORDS).map(move |w| {
                 let split = 1 + w % 7;
@@ -1293,16 +1338,16 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Bytes of address space behind one directory segment.
-    const SEGMENT_BYTES: u64 = (SEGMENT_PAGES * PAGE_SIZE) as u64;
+    const SEGMENT_BYTES: u64 = (SEGMENT_FRAMES * FRAME_SIZE) as u64;
 
     /// Addresses that random accesses cluster around, so they cross word,
-    /// page and segment boundaries.
+    /// frame and segment boundaries.
     const ANCHORS: [u64; 6] = [
         0,
-        PAGE_SIZE as u64,
-        3 * PAGE_SIZE as u64,
+        FRAME_SIZE as u64,
+        3 * FRAME_SIZE as u64,
         SEGMENT_BYTES,
-        SEGMENT_BYTES + PAGE_SIZE as u64,
+        SEGMENT_BYTES + FRAME_SIZE as u64,
         2 * SEGMENT_BYTES,
     ];
 
@@ -1333,17 +1378,17 @@ mod proptests {
                     let hi = (range.end + 8).min(cap as usize);
                     prop_assert_eq!(d.host_read(lo as u64, hi - lo), &model[lo..hi]);
                 } else {
-                    let (pages, digest) = (d.store.allocated().count(), d.image_digest());
+                    let (frames, digest) = (d.store.allocated().count(), d.image_digest());
                     prop_assert_eq!(d.host_read(addr, len), &model[range]);
-                    prop_assert_eq!(d.store.allocated().count(), pages);
+                    prop_assert_eq!(d.store.allocated().count(), frames);
                     prop_assert_eq!(d.image_digest(), digest);
                 }
             }
             // An untouched segment reads as zeros and stays unallocated.
-            let (pages, digest) = (d.store.allocated().count(), d.image_digest());
-            let far = 3 * SEGMENT_BYTES + 7 * PAGE_SIZE as u64 - 5;
+            let (frames, digest) = (d.store.allocated().count(), d.image_digest());
+            let far = 3 * SEGMENT_BYTES + 7 * FRAME_SIZE as u64 - 5;
             prop_assert_eq!(d.host_read(far, 300), vec![0; 300]);
-            prop_assert_eq!(d.store.allocated().count(), pages);
+            prop_assert_eq!(d.store.allocated().count(), frames);
             prop_assert_eq!(d.image_digest(), digest);
         }
     }

@@ -43,6 +43,9 @@ gate "build (release, locked)" \
 gate "tests" \
     cargo test --workspace --locked --quiet
 
+gate "fpga tests in release (frame-index arithmetic wraps instead of panicking; the two-thread shared-word test races harder)" \
+    cargo test --release --locked -p bionicdb-fpga
+
 gate "perfbench unit tests (benchmark package, own workspace)" \
     cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml
 
