@@ -72,7 +72,7 @@ fn bench_fig09_silo_model(c: &mut Criterion) {
         let sys = YcsbSilo::build(tiny_spec(), 1);
         let mut model = CoreModel::new(CpuConfig::default());
         let mut rng = YcsbBionic::rng(2);
-        b.iter(|| sys.run_read_txn(&mut model, &mut rng, None));
+        b.iter(|| sys.run_read_txn(&mut model, &mut rng));
     });
 }
 

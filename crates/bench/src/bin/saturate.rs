@@ -20,9 +20,7 @@
 //!   the sweep additionally compares *batched admission* (front-end
 //!   request groups feeding `BatchMode::CrossTxn` index waves) against
 //!   unbatched dispatch at the saturation point — batching must not lose
-//!   goodput, and on the index-bound YCSB mixes it must win;
-//! * `--wall` — the wall-clock Silo engine (honest, not stable, never
-//!   asserted or recorded).
+//!   goodput, and on the index-bound YCSB mixes it must win.
 //!
 //! The headline claim is asserted, not just plotted: at 2x saturation the
 //! controlled server must keep >= 85% of its peak goodput while the
@@ -31,28 +29,27 @@
 //! `scripts/check.sh` gates on graceful degradation the same way it gates
 //! on correctness.
 //!
-//! Everything except `--wall` is virtual-time and fixed-seed, so `--json`
-//! dumps are byte-stable. Full runs (no `--quick`) append per-workload
+//! Both engines are virtual-time and fixed-seed, so `--json` dumps are
+//! byte-stable. Full runs (no `--quick`) append per-workload
 //! goodput and p99 rows to `results/bench_history.jsonl` for `benchdiff`
 //! (`serve-*` keys for the model engine, `serve-hw-*` for the hardware
 //! engine).
 //!
-//! Usage: `saturate [--quick] [--wall] [--engine sim|hw] [--kind NAME]
-//!                  [--servers N] [--json PATH] [--history PATH]`
+//! Usage: `saturate [--quick] [--engine sim|hw] [--kind NAME] [--servers N]
+//!                  [--json PATH] [--history PATH]`
 
 use bionicdb_bench::history::{self, Entry};
 use bionicdb_bench::serve::hw::{
     hw_config, hw_servers, probe_hw, probe_hw_variant, simulate_hw, simulate_hw_variant,
 };
 use bionicdb_bench::serve::sim::{probe_service_ns, simulate};
-use bionicdb_bench::serve::wall::{probe_wall_service_ns, serve_wall};
 use bionicdb_bench::serve::{ArrivalProcess, ServeConfig, ServeSummary};
 use bionicdb_bench::{json::JsonOut, print_table, ArgSpec, BenchArgs};
 use bionicdb_workloads::{ServeKind, ServeMix};
 
 const SPEC: ArgSpec = ArgSpec {
     bin: "saturate",
-    flags: &["--wall"],
+    flags: &[],
     options: &["--servers", "--kind", "--history", "--engine"],
 };
 
@@ -65,8 +62,6 @@ const HW_WORKERS: usize = 2;
 enum Engine {
     /// Silo under the calibrated core model, virtual time.
     Sim,
-    /// Silo on real threads, wall-clock time.
-    Wall,
     /// The cycle-accurate BionicDB machine.
     Hw,
 }
@@ -82,15 +77,10 @@ struct Point {
 fn main() {
     let args = BenchArgs::from_env(&SPEC);
     let quick = args.quick();
-    let engine = match (args.flag("--wall"), args.value("--engine").unwrap_or("sim")) {
-        (true, "sim") => Engine::Wall,
-        (true, other) => {
-            eprintln!("saturate: --wall cannot combine with --engine {other}");
-            std::process::exit(2);
-        }
-        (false, "sim") => Engine::Sim,
-        (false, "hw") => Engine::Hw,
-        (false, other) => {
+    let engine = match args.value("--engine").unwrap_or("sim") {
+        "sim" => Engine::Sim,
+        "hw" => Engine::Hw,
+        other => {
             eprintln!("saturate: unknown --engine {other} (want sim or hw)");
             std::process::exit(2);
         }
@@ -148,15 +138,10 @@ fn main() {
     for kind in kinds {
         // Probe on a private build: capacity depends on database state,
         // and every sweep run below also gets a fresh build so the fixed
-        // seed is byte-stable. Wall-clock sweeps probe wall-clock
-        // execution instead — the model's constants don't describe it.
+        // seed is byte-stable.
         let (capacity_per_sec, scale_ns, eff_servers) = match engine {
             Engine::Sim => {
                 let svc = probe_service_ns(&ServeMix::build(kind, 1), kind.seed(), probe_txns);
-                (servers as f64 * 1e9 / svc, svc, servers)
-            }
-            Engine::Wall => {
-                let svc = probe_wall_service_ns(&ServeMix::build(kind, 1), kind.seed(), probe_txns);
                 (servers as f64 * 1e9 / svc, svc, servers)
             }
             Engine::Hw => {
@@ -168,14 +153,7 @@ fn main() {
                 )
             }
         };
-        // Wall-clock deadlines are floored well above the engines' sleep
-        // and condvar granularity (~1 ms), or scheduling jitter alone
-        // would time out every request.
-        let deadline_ns = if engine == Engine::Wall {
-            ((scale_ns * deadline_mults) as u64).max(5_000_000)
-        } else {
-            (scale_ns * deadline_mults) as u64
-        };
+        let deadline_ns = (scale_ns * deadline_mults) as u64;
         println!(
             "\n{}: scale {:.0} ns, {} servers => capacity {:.0} req/s, deadline {:.1} us",
             kind.name(),
@@ -187,7 +165,6 @@ fn main() {
 
         let run = |cfg: &ServeConfig, cross_txn: Option<usize>| match engine {
             Engine::Sim => simulate(&ServeMix::build(kind, 1), cfg),
-            Engine::Wall => serve_wall(&ServeMix::build(kind, 1), cfg),
             Engine::Hw => simulate_hw(kind, HW_WORKERS, cross_txn, cfg),
         };
 
@@ -201,18 +178,10 @@ fn main() {
                 &ServeConfig::baseline(arrivals, requests, deadline_ns, eff_servers, kind.seed()),
                 None,
             );
-            let mut ctrl_cfg =
-                ServeConfig::controlled(arrivals, requests, deadline_ns, eff_servers, kind.seed());
-            if engine == Engine::Wall {
-                // The wall generator wakes on ~1 ms granularity and
-                // offers arrivals in bursts; bound the queue by a
-                // deadline's worth of servable work instead of a handful
-                // of slots, or the burstiness of the *harness* (not the
-                // load) dominates the shed rate.
-                ctrl_cfg.queue_capacity =
-                    ((servers as f64 * deadline_ns as f64 / scale_ns) as usize).max(4 * servers);
-            }
-            let controlled = run(&ctrl_cfg, None);
+            let controlled = run(
+                &ServeConfig::controlled(arrivals, requests, deadline_ns, eff_servers, kind.seed()),
+                None,
+            );
             points.push(Point {
                 mult,
                 offered_per_sec: offered,
@@ -250,7 +219,6 @@ fn main() {
 
         let engine_tag = match engine {
             Engine::Sim => "sim",
-            Engine::Wall => "wall",
             Engine::Hw => "hw",
         };
         for p in &points {
@@ -268,114 +236,110 @@ fn main() {
             }
         }
 
-        // The degradation verdict (never wall-clock: those numbers are
-        // honest but noisy).
-        if engine != Engine::Wall {
-            // Peak = best goodput in the capacity region (load <= 1x);
-            // degradation is measured against what the server could do
-            // before saturation, not against its own overloaded transient.
-            let peak = |f: &dyn Fn(&Point) -> f64| {
-                points
-                    .iter()
-                    .filter(|p| p.mult <= 1.0)
-                    .map(f)
-                    .fold(0.0f64, f64::max)
+        // The degradation verdict. Peak = best goodput in the capacity
+        // region (load <= 1x): degradation is measured against what the
+        // server could do before saturation, not against its own
+        // overloaded transient.
+        let peak = |f: &dyn Fn(&Point) -> f64| {
+            points
+                .iter()
+                .filter(|p| p.mult <= 1.0)
+                .map(f)
+                .fold(0.0f64, f64::max)
+        };
+        let at_top = points.last().expect("sweep is non-empty");
+        let ctrl_peak = peak(&|p| p.controlled.goodput_per_sec());
+        let base_peak = peak(&|p| p.baseline.goodput_per_sec());
+        let ctrl_frac = at_top.controlled.goodput_per_sec() / ctrl_peak.max(1e-9);
+        let base_frac = at_top.baseline.goodput_per_sec() / base_peak.max(1e-9);
+        let ok = ctrl_frac >= 0.85 && base_frac < 0.50;
+        println!(
+            "  degradation @{:.1}x: controlled keeps {:.0}% of peak (need >= 85%), \
+             baseline keeps {:.0}% (must be < 50%) => {}",
+            at_top.mult,
+            ctrl_frac * 100.0,
+            base_frac * 100.0,
+            if ok { "ok" } else { "FAILED" }
+        );
+        failed |= !ok;
+        jout.push_raw(format!(
+            "{{\"kind\":\"{}\",\"engine\":\"{engine_tag}\",\"mode\":\"verdict\",\
+             \"ctrl_frac_of_peak\":{:.4},\"base_frac_of_peak\":{:.4},\"pass\":{}}}",
+            kind.name(),
+            ctrl_frac,
+            base_frac,
+            ok
+        ));
+
+        // Hardware engine: batched admission at the saturation point,
+        // on the *chained-hash* YCSB-C variant (16-deep chains, the
+        // regime the batched level-wise traversal engines exist for —
+        // stock one-hop hash probes have nothing to wave). Front-end
+        // groups ([`ServeConfig::with_batch`]) feed
+        // `BatchMode::CrossTxn`, so flushed requests enter one
+        // softcore interleaving batch and their index probes share
+        // DRAM waves; the waves must beat unbatched dispatch on
+        // goodput outright.
+        if engine == Engine::Hw && kind == ServeKind::YcsbC {
+            let width = 4usize;
+            let p = probe_hw_variant(kind, HW_WORKERS, hw_probe_txns, true);
+            let chain_deadline = (p.mean_latency_ns * deadline_mults) as u64;
+            let mk = |seed| {
+                ServeConfig::controlled(
+                    ArrivalProcess::Poisson {
+                        rate_per_sec: 2.0 * p.capacity_per_sec,
+                    },
+                    requests,
+                    chain_deadline,
+                    eff_servers,
+                    seed,
+                )
             };
-            let at_top = points.last().expect("sweep is non-empty");
-            let ctrl_peak = peak(&|p| p.controlled.goodput_per_sec());
-            let base_peak = peak(&|p| p.baseline.goodput_per_sec());
-            let ctrl_frac = at_top.controlled.goodput_per_sec() / ctrl_peak.max(1e-9);
-            let base_frac = at_top.baseline.goodput_per_sec() / base_peak.max(1e-9);
-            let ok = ctrl_frac >= 0.85 && base_frac < 0.50;
+            let unbatched = simulate_hw_variant(kind, HW_WORKERS, None, true, &mk(kind.seed()));
+            let batched_cfg = mk(kind.seed()).with_batch(width, (chain_deadline / 8).max(1));
+            let batched = simulate_hw_variant(kind, HW_WORKERS, Some(width), true, &batched_cfg);
+            let (ug, bg) = (unbatched.goodput_per_sec(), batched.goodput_per_sec());
+            let ok = bg > ug;
             println!(
-                "  degradation @{:.1}x: controlled keeps {:.0}% of peak (need >= 85%), \
-                 baseline keeps {:.0}% (must be < 50%) => {}",
-                at_top.mult,
-                ctrl_frac * 100.0,
-                base_frac * 100.0,
+                "  batched admission @2.0x on chained-hash ycsb_c (width {width}): \
+                 {bg:.0} good/s vs {ug:.0} unbatched ({:.2}x, must beat) => {}",
+                bg / ug.max(1e-9),
                 if ok { "ok" } else { "FAILED" }
             );
             failed |= !ok;
-            jout.push_raw(format!(
-                "{{\"kind\":\"{}\",\"engine\":\"{engine_tag}\",\"mode\":\"verdict\",\
-                 \"ctrl_frac_of_peak\":{:.4},\"base_frac_of_peak\":{:.4},\"pass\":{}}}",
-                kind.name(),
-                ctrl_frac,
-                base_frac,
-                ok
-            ));
-
-            // Hardware engine: batched admission at the saturation point,
-            // on the *chained-hash* YCSB-C variant (16-deep chains, the
-            // regime the batched level-wise traversal engines exist for —
-            // stock one-hop hash probes have nothing to wave). Front-end
-            // groups ([`ServeConfig::with_batch`]) feed
-            // `BatchMode::CrossTxn`, so flushed requests enter one
-            // softcore interleaving batch and their index probes share
-            // DRAM waves; the waves must beat unbatched dispatch on
-            // goodput outright.
-            if engine == Engine::Hw && kind == ServeKind::YcsbC {
-                let width = 4usize;
-                let p = probe_hw_variant(kind, HW_WORKERS, hw_probe_txns, true);
-                let chain_deadline = (p.mean_latency_ns * deadline_mults) as u64;
-                let mk = |seed| {
-                    ServeConfig::controlled(
-                        ArrivalProcess::Poisson {
-                            rate_per_sec: 2.0 * p.capacity_per_sec,
-                        },
-                        requests,
-                        chain_deadline,
-                        eff_servers,
-                        seed,
-                    )
-                };
-                let unbatched =
-                    simulate_hw_variant(kind, HW_WORKERS, None, true, &mk(kind.seed()));
-                let batched_cfg = mk(kind.seed()).with_batch(width, (chain_deadline / 8).max(1));
-                let batched =
-                    simulate_hw_variant(kind, HW_WORKERS, Some(width), true, &batched_cfg);
-                let (ug, bg) = (unbatched.goodput_per_sec(), batched.goodput_per_sec());
-                let ok = bg > ug;
-                println!(
-                    "  batched admission @2.0x on chained-hash ycsb_c (width {width}): \
-                     {bg:.0} good/s vs {ug:.0} unbatched ({:.2}x, must beat) => {}",
-                    bg / ug.max(1e-9),
-                    if ok { "ok" } else { "FAILED" }
-                );
-                failed |= !ok;
-                for (mode, s) in [("chained_unbatched", &unbatched), ("chained_batched", &batched)]
-                {
-                    jout.push_raw(format!(
-                        "{{\"kind\":\"ycsb_c_chained\",\"engine\":\"hw\",\"mode\":\"{mode}\",\
-                         \"mult\":2.00,\"width\":{width},\"sum\":{}}}",
-                        s.render_json(&format!("hw/ycsb_c_chained/{mode}/x2.00")),
-                    ));
-                }
+            for (mode, s) in [
+                ("chained_unbatched", &unbatched),
+                ("chained_batched", &batched),
+            ] {
+                jout.push_raw(format!(
+                    "{{\"kind\":\"ycsb_c_chained\",\"engine\":\"hw\",\"mode\":\"{mode}\",\
+                     \"mult\":2.00,\"width\":{width},\"sum\":{}}}",
+                    s.render_json(&format!("hw/ycsb_c_chained/{mode}/x2.00")),
+                ));
             }
+        }
 
-            // Full virtual-time runs feed the regression history: goodput
-            // under 2x overload is the gated throughput metric, the
-            // overloaded sojourn p99 the gated tail metric.
-            if !quick {
-                let clock_hz = match engine {
-                    Engine::Hw => hw_config(kind, HW_WORKERS, None).fpga.clock_hz,
-                    _ => bionicdb_cpu_model::CpuConfig::default().clock_hz,
-                };
-                let key = match engine {
-                    Engine::Hw => format!("serve-hw-{}", kind.name()),
-                    _ => format!("serve-{}", kind.name()),
-                };
-                let mut e = Entry::basic(
-                    &key,
-                    at_top.controlled.goodput_per_sec(),
-                    history::now_unix(),
-                );
-                e.p99_ns = Some(at_top.controlled.sojourn.p99());
-                e.committed_cycles =
-                    Some(at_top.controlled.good_busy_ns * clock_hz / 1_000_000_000);
-                history::append(history_path.as_ref(), &e).expect("append bench history");
-                println!("  appended {key} to {history_path}");
-            }
+        // Full virtual-time runs feed the regression history: goodput
+        // under 2x overload is the gated throughput metric, the
+        // overloaded sojourn p99 the gated tail metric.
+        if !quick {
+            let clock_hz = match engine {
+                Engine::Hw => hw_config(kind, HW_WORKERS, None).fpga.clock_hz,
+                _ => bionicdb_cpu_model::CpuConfig::default().clock_hz,
+            };
+            let key = match engine {
+                Engine::Hw => format!("serve-hw-{}", kind.name()),
+                _ => format!("serve-{}", kind.name()),
+            };
+            let mut e = Entry::basic(
+                &key,
+                at_top.controlled.goodput_per_sec(),
+                history::now_unix(),
+            );
+            e.p99_ns = Some(at_top.controlled.sojourn.p99());
+            e.committed_cycles = Some(at_top.controlled.good_busy_ns * clock_hz / 1_000_000_000);
+            history::append(history_path.as_ref(), &e).expect("append bench history");
+            println!("  appended {key} to {history_path}");
         }
     }
 

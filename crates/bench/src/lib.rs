@@ -422,12 +422,20 @@ impl ArgSpec {
 /// `--json <path>` (machine-readable dump, see [`json::JsonOut`]),
 /// `--sim-threads <n>` (epoch-parallel lanes for each built machine), plus
 /// bin-specific flags and valued options declared in an [`ArgSpec`] and
-/// read through [`BenchArgs::flag`] and [`BenchArgs::value`]. Environment
-/// fallbacks (`BIONICDB_SIM_THREADS`, `BIONICDB_THREADS`) are folded in
-/// here so no bin re-implements the precedence order.
+/// read through [`BenchArgs::flag`] and [`BenchArgs::value`]. The
+/// environment fallback (`BIONICDB_THREADS`) is folded in here so no bin
+/// re-implements the precedence order.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     argv: Vec<String>,
+    spec: ArgSpec,
+}
+
+/// Print `msg` (an argument error ending in the usage line) and exit with
+/// status 2.
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 impl BenchArgs {
@@ -436,19 +444,15 @@ impl BenchArgs {
     /// process exits with status 2. (They used to be silently ignored — a
     /// typo'd `--historys` ran the bin with defaults and nobody noticed.)
     pub fn from_env(spec: &ArgSpec) -> BenchArgs {
-        match Self::try_parse(std::env::args().skip(1).collect(), spec) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        Self::try_parse(std::env::args().skip(1).collect(), spec)
+            .unwrap_or_else(|msg| exit_usage(&msg))
     }
 
     /// Validate `argv` against `spec` — the testable core of
     /// [`BenchArgs::from_env`]. Option tokens consume the following
     /// argument as their value; anything that is neither a known flag nor
-    /// a known option (shared or bin-specific) is an error.
+    /// a known option (shared or bin-specific) is an error, and so is a
+    /// `--sim-threads` value that is not a positive integer.
     pub fn try_parse(argv: Vec<String>, spec: &ArgSpec) -> Result<BenchArgs, String> {
         let known_flag = |a: &str| SHARED_FLAGS.contains(&a) || spec.flags.contains(&a);
         let known_opt = |a: &str| SHARED_OPTIONS.contains(&a) || spec.options.contains(&a);
@@ -473,12 +477,13 @@ impl BenchArgs {
                 spec.usage()
             ));
         }
-        Ok(BenchArgs { argv })
-    }
-
-    /// Build from an explicit argument list without validation (tests).
-    pub fn from_vec(argv: Vec<String>) -> BenchArgs {
-        BenchArgs { argv }
+        let args = BenchArgs { argv, spec: *spec };
+        if let Some(s) = args.value("--sim-threads") {
+            if !s.parse::<usize>().is_ok_and(|n| n > 0) {
+                return Err(args.bad_value("--sim-threads", s));
+            }
+        }
+        Ok(args)
     }
 
     /// The raw process arguments without validation — for crate-internal
@@ -488,7 +493,17 @@ impl BenchArgs {
     pub(crate) fn raw_env() -> BenchArgs {
         BenchArgs {
             argv: std::env::args().skip(1).collect(),
+            spec: ArgSpec::shared("bench"),
         }
+    }
+
+    /// The error for option `name` carrying the unparseable value `value`.
+    fn bad_value(&self, name: &str, value: &str) -> String {
+        format!(
+            "{}: bad value {value:?} for option {name}\n{}",
+            self.spec.bin,
+            self.spec.usage()
+        )
     }
 
     /// True when the bare flag `name` (e.g. `"--quick"`) is present.
@@ -507,12 +522,22 @@ impl BenchArgs {
         None
     }
 
-    /// The value of `name` parsed as `T`, or `default` when absent or
-    /// unparseable.
+    /// The value of `name` parsed as `T`, or `default` when absent. A
+    /// value that does not parse is fatal, like an unknown argument: the
+    /// error and the usage line go to stderr and the process exits with
+    /// status 2.
     pub fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+        self.try_parsed(name, default).unwrap_or_else(|msg| exit_usage(&msg))
+    }
+
+    /// The testable core of [`BenchArgs::parsed`]: `Ok(default)` when
+    /// `name` is absent, an error naming the option, the bad value and
+    /// the usage line when its value does not parse as `T`.
+    pub fn try_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(s) => s.parse().map_err(|_| self.bad_value(name, s)),
+        }
     }
 
     /// True when `--quick` was given (CI-scale waves).
@@ -532,17 +557,12 @@ impl BenchArgs {
 
     /// Simulation thread count for a single [`bionicdb::Machine`]
     /// (`Machine::set_sim_threads`): `--sim-threads N` on the command
-    /// line, else `BIONICDB_SIM_THREADS`, else `BIONICDB_THREADS`, else 1
-    /// (serial). Results are bit-identical at any value — only wall-clock
-    /// time changes.
+    /// line (a positive integer, checked by [`BenchArgs::try_parse`]),
+    /// else `BIONICDB_THREADS`, else 1 (serial). Results are bit-identical
+    /// at any value — only wall-clock time changes.
     pub fn sim_threads(&self) -> usize {
         self.value("--sim-threads")
             .and_then(|s| s.parse().ok())
-            .or_else(|| {
-                std::env::var("BIONICDB_SIM_THREADS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-            })
             .or_else(|| {
                 std::env::var("BIONICDB_THREADS")
                     .ok()
@@ -684,5 +704,30 @@ mod arg_tests {
         // like a flag — documented single-pass semantics.
         let args = BenchArgs::try_parse(v(&["--out", "--quick"]), &SPEC).unwrap();
         assert_eq!(args.value("--out"), Some("--quick"));
+    }
+
+    #[test]
+    fn unparseable_value_is_fatal_with_usage() {
+        let args = |a: &[&str]| BenchArgs::try_parse(v(a), &SPEC).expect("shape is valid");
+        let err = args(&["--out", "0.1x"]).try_parsed("--out", 0.05f64).unwrap_err();
+        assert!(err.contains("bad value \"0.1x\" for option --out"), "{err}");
+        assert!(err.contains("usage: testbin"), "{err}");
+        assert!(args(&["--out", "abc"]).try_parsed("--out", 4usize).is_err());
+        assert!(args(&["--out", "-3"]).try_parsed("--out", 4usize).is_err());
+        // A good value parses; an absent one falls back to the default.
+        assert_eq!(args(&["--out", "7"]).try_parsed("--out", 4usize), Ok(7));
+        assert_eq!(args(&["--par"]).try_parsed("--out", 4usize), Ok(4));
+    }
+
+    #[test]
+    fn sim_threads_must_be_a_positive_integer() {
+        for bad in ["two", "0", "-1", ""] {
+            let err = BenchArgs::try_parse(v(&["--sim-threads", bad]), &SPEC).unwrap_err();
+            assert!(err.contains("--sim-threads"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("usage: testbin"), "{err}");
+        }
+        let args = BenchArgs::try_parse(v(&["--sim-threads", "1"]), &SPEC).unwrap();
+        assert_eq!(args.sim_threads(), 1);
     }
 }

@@ -193,9 +193,9 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
     fn settle(&mut self, tk: Ticket, done: u64, committed: bool, svc_ns: u64) {
         self.sum.horizon_ns = self.sum.horizon_ns.max(done);
         if self.cfg.enforce_deadline && done > tk.deadline_ns {
-            // The commit point falls past the deadline: the engine's
-            // cancel token would fire and the commit aborts. The body's
-            // service time is still spent.
+            // The commit point falls past the deadline: the commit
+            // aborts as a timeout. The body's service time is still
+            // spent.
             self.sum.timed_out += 1;
         } else if committed && done <= tk.deadline_ns {
             self.sum.good += 1;

@@ -31,9 +31,11 @@
 //! * [`hw`] — the BionicDB hardware engine: dispatches inject
 //!   transactions into the cycle-accurate [`bionicdb::Machine`] mid-run
 //!   (`inject_txn`/`step_until`, DESIGN.md §17) and completions surface
-//!   at exact simulated-commit times;
-//! * [`wall`] — the wall-clock engine: real threads, real sleeps, real
-//!   [`bionicdb_silo::CancelToken`] deadline aborts at the commit point.
+//!   at exact simulated-commit times.
+//!
+//! Both engines run in virtual time through [`engine::serve_with`], which
+//! enforces deadlines at the commit point for each of them: a completion
+//! past its deadline is a timeout, and its service time is still spent.
 //!
 //! The Silo transaction mixes come from [`bionicdb_workloads::ServeMix`]
 //! — the same five systems the closed-loop figures drive; the hardware
@@ -45,7 +47,6 @@ pub mod engine;
 pub mod hw;
 pub mod queue;
 pub mod sim;
-pub mod wall;
 
 pub use arrival::{ArrivalGen, ArrivalProcess, ServeConfigError};
 pub use engine::{BatchPolicy, Completion, Dispatch, ServeEngine};
@@ -275,7 +276,7 @@ pub struct ServeSummary {
     pub evicted: u64,
     /// Deepest queue depth observed.
     pub queue_high_water: u64,
-    /// Virtual or wall time from first arrival to last terminal event.
+    /// Virtual time from first arrival to last terminal event.
     pub horizon_ns: u64,
     /// Total server-busy nanoseconds (all executions).
     pub busy_ns: u64,

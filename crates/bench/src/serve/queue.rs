@@ -1,10 +1,11 @@
 //! Bounded admission queue with pluggable load-shedding policies.
 //!
-//! The queue is a pure data structure — no clocks, no threads — shared by
-//! the virtual-time and wall-clock serving engines: every decision takes
-//! `now_ns` as an argument, so the same policy code is exercised (and
-//! unit-tested) under both. Counters record every shed decision so
-//! summaries can report *why* requests were lost, not just how many.
+//! The queue is a pure data structure — no clocks, no threads — owned by
+//! the engine-agnostic serving loop, so the Silo and hardware engines run
+//! the same policy code: every decision takes `now_ns` as an argument,
+//! which keeps it unit-testable without an engine. Counters record every
+//! shed decision so summaries can report *why* requests were lost, not
+//! just how many.
 //!
 //! ## Policies
 //!

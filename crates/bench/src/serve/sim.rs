@@ -23,18 +23,17 @@
 //!   free. Enforcement at the commit point: when a transaction's
 //!   completion lands past its deadline, the commit is treated as
 //!   cancelled — the server time is still spent (the body ran), but
-//!   nothing installs. This mirrors what
-//!   [`CancelToken`](bionicdb_silo::CancelToken) does on real threads
-//!   (exercised by the wall-clock engine); virtual time cannot use the
-//!   token itself because it reads the wall clock.
+//!   the request counts as timed out. `ServeLoop::settle` in
+//!   [`super::engine`] makes that call for every engine; the Silo
+//!   transaction itself carries no deadline.
 //! * Client retry per [`RetryMode`], with backoff delays in virtual time.
 //!
 //! Transactions execute one at a time (virtual servers overlap in virtual
 //! time, not on host threads), so OCC conflicts cannot arise here — abort
-//! retry paths get their coverage from the wall-clock engine, the
-//! hardware engine (whose interleaved batches conflict for real), and
-//! unit tests. Queueing, shedding, deadline and retry dynamics — the
-//! things this subsystem exists to measure — are exact.
+//! retry paths get their coverage from the hardware engine (whose
+//! interleaved batches conflict for real) and unit tests. Queueing,
+//! shedding, deadline and retry dynamics — the things this subsystem
+//! exists to measure — are exact.
 
 use bionicdb_cpu_model::{CoreModel, CpuConfig};
 use bionicdb_workloads::ServeMix;
@@ -60,11 +59,11 @@ pub fn probe_service_ns(mix: &ServeMix, seed: u64, txns: usize) -> f64 {
     let mut model = CoreModel::new(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     for i in 0..WARMUP {
-        mix.run_once(&mut model, &mut rng, i, None);
+        mix.run_once(&mut model, &mut rng, i);
     }
     let c0 = model.cycles();
     for i in 0..txns.max(1) {
-        mix.run_once(&mut model, &mut rng, WARMUP + i, None);
+        mix.run_once(&mut model, &mut rng, WARMUP + i);
     }
     cycles_to_ns(model.cycles() - c0, &cfg) as f64 / txns.max(1) as f64
 }
@@ -95,7 +94,7 @@ impl<'a> SiloEngine<'a> {
         let mut model = CoreModel::new(cpu.clone());
         let mut rng_txn = SmallRng::seed_from_u64(cfg.seed ^ 0x5E7E_5E7E_5E7E_5E7E);
         for i in 0..WARMUP {
-            mix.run_once(&mut model, &mut rng_txn, i, None);
+            mix.run_once(&mut model, &mut rng_txn, i);
         }
         SiloEngine {
             mix,
@@ -117,7 +116,7 @@ impl ServeEngine for SiloEngine<'_> {
         let c0 = self.model.cycles();
         let committed = self
             .mix
-            .run_once(&mut self.model, &mut self.rng_txn, tk.txn_index, None);
+            .run_once(&mut self.model, &mut self.rng_txn, tk.txn_index);
         let svc_ns = cycles_to_ns(self.model.cycles() - c0, &self.cpu).max(1);
         self.executed += 1;
         if self.executed.is_multiple_of(EPOCH_PERIOD) {

@@ -839,15 +839,6 @@ impl SkipPipeline {
                     } else {
                         // A concurrent insert extended this level; walk.
                         self.stats.stale_path_fixups += 1;
-                        // Env-gated diagnostic for lock-discipline work:
-                        // BIONICDB_DEBUG_FIXUPS=1 prints each stale path.
-                        if std::env::var_os("BIONICDB_DEBUG_FIXUPS").is_some() {
-                            eprintln!(
-                                "fixup: key={} h={} level={} pred={:#x} expected_next={:#x} found={:#x}",
-                                op.item.key.to_u64(), op.item.height, level,
-                                op.item.path[level], op.item.path_next[level], cand
-                            );
-                        }
                         BotState::NeedResolveKey { level, cand }
                     }
                 }

@@ -803,11 +803,6 @@ impl Machine {
         self.dram.cancelled_acks() + banks
     }
 
-    /// Simulated seconds elapsed.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.cfg.fpga.cycles_to_secs(self.now)
-    }
-
     /// Machine configuration.
     pub fn config(&self) -> &BionicConfig {
         &self.cfg

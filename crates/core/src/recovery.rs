@@ -686,6 +686,55 @@ mod tests {
     }
 
     #[test]
+    fn corruption_fault_matches_manual_flip() {
+        let log = sample_log();
+        let clean = log.to_bytes();
+        // One flip inside each record's body (record 0's body starts after
+        // the 16-byte header and its 8-byte frame; record 1's frame starts
+        // 42 bytes later). The offset wraps modulo the image length.
+        for (record, at) in [(0usize, 16 + 8 + 2), (1, 16 + 42 + 8 + 2)] {
+            for offset in [at as u64, (at + clean.len()) as u64] {
+                let plan = FaultPlan::none().corrupt_log_byte(offset, 0x40);
+                let faulted = log.to_bytes_faulted(&plan);
+                let mut manual = clean.clone();
+                manual[at] ^= 0x40;
+                assert_eq!(faulted, manual, "record {record}, offset {offset}");
+                let err = CommandLog::from_bytes(&faulted).unwrap_err();
+                assert_eq!(
+                    err,
+                    RecoveryError::ChecksumMismatch {
+                        index: record,
+                        valid_prefix: record
+                    }
+                );
+                let (prefix, perr) = CommandLog::from_bytes_prefix(&faulted);
+                assert_eq!(perr, Some(err));
+                assert_eq!(prefix.records(), &log.records[..record]);
+            }
+        }
+
+        let mut t0 = BTreeMap::new();
+        t0.insert(vec![1, 2, 3], vec![9, 9]);
+        let ckpt = Checkpoint {
+            tables: vec![vec![t0]],
+        };
+        let clean = ckpt.to_bytes();
+        let plan = FaultPlan::none().corrupt_checkpoint_byte(13, 0x10);
+        let faulted = ckpt.to_bytes_faulted(&plan);
+        let mut manual = clean.clone();
+        manual[13] ^= 0x10;
+        assert_eq!(faulted, manual);
+        assert_eq!(
+            Checkpoint::from_bytes(&faulted),
+            Err(RecoveryError::CheckpointChecksum)
+        );
+        // Log corruption never touches the checkpoint image, and vice versa.
+        let log_only = FaultPlan::none().corrupt_log_byte(13, 0x10);
+        assert_eq!(ckpt.to_bytes_faulted(&log_only), clean);
+        assert_eq!(log.to_bytes_faulted(&plan), log.to_bytes());
+    }
+
+    #[test]
     fn trailing_garbage_is_detected() {
         let mut bytes = sample_log().to_bytes();
         bytes.extend_from_slice(&[0xAB; 7]);

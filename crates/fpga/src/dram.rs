@@ -800,11 +800,6 @@ impl Dram {
         self.responses[port.0 as usize].pop_front()
     }
 
-    /// Number of delivered-but-unconsumed responses on `port`.
-    pub fn pending_responses(&self, port: PortId) -> usize {
-        self.responses[port.0 as usize].len()
-    }
-
     /// Total requests currently in flight across all controllers.
     pub fn inflight(&self) -> usize {
         self.controllers.iter().map(|c| c.inflight.len()).sum()

@@ -31,7 +31,6 @@
 #![deny(unsafe_code)]
 
 pub mod db;
-pub mod deadline;
 pub mod index;
 pub mod record;
 pub mod runner;
@@ -39,7 +38,6 @@ pub mod tid;
 pub mod txn;
 
 pub use db::{SiloDb, SwIndexKind, TableDef};
-pub use deadline::CancelToken;
 pub use record::Record;
 pub use runner::run_parallel;
 pub use txn::{Abort, Txn};

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use bionicdb_cpu_model::Tracer;
 
 use crate::db::SiloDb;
-use crate::deadline::CancelToken;
 use crate::record::Record;
 use crate::tid;
 
@@ -21,7 +20,6 @@ pub struct Txn<'a> {
     reads: Vec<(Arc<Record>, u64)>,
     writes: Vec<(Arc<Record>, Vec<u8>)>,
     inserts: Vec<(usize, u64, Vec<u8>)>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> Txn<'a> {
@@ -31,23 +29,7 @@ impl<'a> Txn<'a> {
             reads: Vec::new(),
             writes: Vec::new(),
             inserts: Vec::new(),
-            cancel: None,
         }
-    }
-
-    /// Attach a cancellation token: [`commit`](Txn::commit) aborts — before
-    /// taking any write lock — when the token is cancelled or its deadline
-    /// has passed. The serving layer uses this to stop doomed transactions
-    /// from occupying workers under overload.
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Whether the attached token (if any) has fired. Long transaction
-    /// bodies can poll this between operations to bail out early; the
-    /// commit protocol checks it unconditionally.
-    pub fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Read `key` from `table` into `out`. Returns false when absent.
@@ -161,14 +143,7 @@ impl<'a> Txn<'a> {
     }
 
     /// Run the Silo commit protocol. On success returns the commit TID.
-    ///
-    /// Aborts immediately — holding no locks — when an attached
-    /// [`CancelToken`] has fired: a request past its deadline must not pay
-    /// for validation and install it cannot use.
     pub fn commit<T: Tracer>(mut self, tr: &mut T) -> Result<u64, Abort> {
-        if self.cancelled() {
-            return Err(Abort);
-        }
         // Phase 1: lock the write set in global (address) order.
         self.writes.sort_by_key(|(r, _)| r.addr());
         self.writes.dedup_by(|a, b| {
@@ -335,36 +310,6 @@ mod tests {
         t.scan(&mut NullTracer, 1, 10, 5, &mut out);
         assert_eq!(out.len(), 5);
         assert_eq!(u64::from_le_bytes(out[0].clone().try_into().unwrap()), 10);
-        t.commit(&mut NullTracer).unwrap();
-    }
-
-    #[test]
-    fn cancelled_commit_aborts_without_installing() {
-        let db = db();
-        let mut t = db.txn();
-        let token = CancelToken::manual();
-        t.set_cancel(token.clone());
-        assert!(t.update(&mut NullTracer, 0, 3, &77u64.to_le_bytes()));
-        token.cancel();
-        assert_eq!(t.commit(&mut NullTracer), Err(Abort));
-
-        // Nothing installed, nothing left locked: a follow-up writer to the
-        // same key commits cleanly and readers see the old value first.
-        let mut buf = Vec::new();
-        let mut r = db.txn();
-        assert!(r.read(&mut NullTracer, 0, 3, &mut buf));
-        assert_eq!(u64::from_le_bytes(buf.clone().try_into().unwrap()), 3);
-        let mut w = db.txn();
-        assert!(w.update(&mut NullTracer, 0, 3, &88u64.to_le_bytes()));
-        w.commit(&mut NullTracer).unwrap();
-    }
-
-    #[test]
-    fn live_token_does_not_disturb_commit() {
-        let db = db();
-        let mut t = db.txn();
-        t.set_cancel(CancelToken::manual());
-        assert!(t.update(&mut NullTracer, 0, 9, &1u64.to_le_bytes()));
         t.commit(&mut NullTracer).unwrap();
     }
 

@@ -370,11 +370,6 @@ impl Softcore {
         self.input.push_back((block_addr, now));
     }
 
-    /// Number of blocks waiting in the input queue.
-    pub fn input_len(&self) -> usize {
-        self.input.len()
-    }
-
     /// True when all submitted work has fully completed.
     pub fn is_quiescent(&self) -> bool {
         self.input.is_empty()

@@ -390,7 +390,7 @@ impl SiloWorkload for YcsbSiloRead<'_> {
     }
 
     fn run(&self, model: &mut CoreModel, rng: &mut SmallRng, _i: usize) -> bool {
-        self.0.run_read_txn(model, rng, None)
+        self.0.run_read_txn(model, rng)
     }
 }
 
@@ -408,7 +408,7 @@ impl SiloWorkload for YcsbSiloScan<'_> {
     }
 
     fn run(&self, model: &mut CoreModel, rng: &mut SmallRng, _i: usize) -> bool {
-        self.sys.run_scan_txn(model, rng, self.index, None)
+        self.sys.run_scan_txn(model, rng, self.index)
     }
 }
 
@@ -428,9 +428,9 @@ impl SiloWorkload for TpccSiloMix<'_> {
 
     fn run(&self, model: &mut CoreModel, rng: &mut SmallRng, i: usize) -> bool {
         if self.mix.neworder_at(i) {
-            self.sys.run_neworder(model, rng, None)
+            self.sys.run_neworder(model, rng)
         } else {
-            self.sys.run_payment(model, rng, None)
+            self.sys.run_payment(model, rng)
         }
     }
 }

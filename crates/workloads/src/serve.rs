@@ -3,8 +3,9 @@
 //! The serving subsystem (`bionicdb_bench::serve`) drives live traffic —
 //! open-loop arrivals, admission control, deadlines — against the Silo
 //! baseline. It needs exactly one thing from the workload layer: "run one
-//! transaction of workload X, optionally carrying a cancel token". This
-//! module packages the five benchmark mixes behind [`ServeMix`] so the
+//! transaction of workload X". Deadlines are the serving loop's business,
+//! not the transaction's: the engine judges each completion against its
+//! request's deadline at the commit point. This module packages the five benchmark mixes behind [`ServeMix`] so the
 //! serving engines stay workload-agnostic, mirroring how [`StdWorkload`]
 //! packages the BionicDB side for the cross-cutting harnesses.
 //!
@@ -13,7 +14,6 @@
 //! transaction kind it was born as, so retries do not skew the mix.
 
 use bionicdb_cpu_model::Tracer;
-use bionicdb_silo::CancelToken;
 use rand::rngs::SmallRng;
 
 use crate::smallbank::{SmallBankSilo, SmallBankSpec};
@@ -152,33 +152,25 @@ impl ServeMix {
     /// Run one transaction of the mix. `i` is the request's birth index
     /// (mix selection — stable across retries); returns `false` on abort.
     ///
-    /// Generic over the tracer so the wall-clock engine passes
-    /// `NullTracer` and the virtual-time engine passes the calibrated
-    /// `CoreModel`, exactly like the closed-loop bench split.
-    pub fn run_once<T: Tracer>(
-        &self,
-        tr: &mut T,
-        rng: &mut SmallRng,
-        i: usize,
-        cancel: Option<&CancelToken>,
-    ) -> bool {
+    /// Generic over the tracer so the virtual-time engine passes the
+    /// calibrated `CoreModel` and tests pass `NullTracer`, exactly like
+    /// the closed-loop bench split.
+    pub fn run_once<T: Tracer>(&self, tr: &mut T, rng: &mut SmallRng, i: usize) -> bool {
         match self {
-            ServeMix::Ycsb { sys, scan: false } => sys.run_read_txn(tr, rng, cancel),
-            ServeMix::Ycsb { sys, scan: true } => {
-                sys.run_scan_txn(tr, rng, sys.masstree, cancel)
-            }
+            ServeMix::Ycsb { sys, scan: false } => sys.run_read_txn(tr, rng),
+            ServeMix::Ycsb { sys, scan: true } => sys.run_scan_txn(tr, rng, sys.masstree),
             ServeMix::Tpcc { sys, mix } => {
                 if mix.neworder_at(i) {
-                    sys.run_neworder(tr, rng, cancel)
+                    sys.run_neworder(tr, rng)
                 } else {
-                    sys.run_payment(tr, rng, cancel)
+                    sys.run_payment(tr, rng)
                 }
             }
-            ServeMix::SmallBank(sb) => sb.run_txn(tr, rng, i, cancel),
+            ServeMix::SmallBank(sb) => sb.run_txn(tr, rng, i),
         }
     }
 
-    /// Advance the Silo epoch (the serving engines play the epoch thread,
+    /// Advance the Silo epoch (the serving engine plays the epoch thread,
     /// like `silo::runner`).
     pub fn advance_epoch(&self) {
         self.db().advance_epoch();
@@ -207,7 +199,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(kind.seed());
             let mut ok = 0;
             for i in 0..30 {
-                if mix.run_once(&mut NullTracer, &mut rng, i, None) {
+                if mix.run_once(&mut NullTracer, &mut rng, i) {
                     ok += 1;
                 }
             }
@@ -221,22 +213,5 @@ mod tests {
             assert_eq!(ServeKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(ServeKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn expired_token_aborts_every_kind() {
-        let cancel = CancelToken::manual();
-        cancel.cancel();
-        for kind in ServeKind::ALL {
-            let mix = ServeMix::build(kind, 1);
-            let mut rng = SmallRng::seed_from_u64(kind.seed());
-            for i in 0..6 {
-                assert!(
-                    !mix.run_once(&mut NullTracer, &mut rng, i, Some(&cancel)),
-                    "{} committed under a fired token",
-                    kind.name()
-                );
-            }
-        }
     }
 }

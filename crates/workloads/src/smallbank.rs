@@ -662,14 +662,10 @@ impl SmallBankSilo {
         tr: &mut T,
         rng: &mut SmallRng,
         i: usize,
-        cancel: Option<&bionicdb_silo::CancelToken>,
     ) -> bool {
         use silo_tables::{CHECKING, SAVINGS};
         let src = self.draw_account(rng);
         let mut txn = self.db.txn();
-        if let Some(c) = cancel {
-            txn.set_cancel(c.clone());
-        }
         match SbOp::at(i) {
             SbOp::Balance => {
                 let mut buf = Vec::new();
@@ -749,7 +745,7 @@ impl SiloWorkload for SmallBankSilo {
     }
 
     fn run(&self, model: &mut bionicdb_cpu_model::CoreModel, rng: &mut SmallRng, i: usize) -> bool {
-        self.run_txn(model, rng, i, None)
+        self.run_txn(model, rng, i)
     }
 }
 
@@ -860,7 +856,7 @@ mod tests {
         let mut model = bionicdb_cpu_model::CoreModel::new(bionicdb_cpu_model::CpuConfig::default());
         let mut rng = SmallRng::seed_from_u64(29);
         for i in 0..12 {
-            assert!(silo.run_txn(&mut model, &mut rng, i, None), "txn {i} committed");
+            assert!(silo.run_txn(&mut model, &mut rng, i), "txn {i} committed");
         }
         // Single-threaded: the books must balance exactly. Sum via reads.
         let mut total = 0u64;
@@ -883,7 +879,7 @@ mod tests {
             // Re-run against a fresh db purely to consume the RNG the same
             // way; track deltas by op kind.
             let before = rng.clone();
-            assert!(probe.run_txn(&mut model2, &mut rng, i, None));
+            assert!(probe.run_txn(&mut model2, &mut rng, i));
             let mut r = before;
             let _src = probe.draw_account(&mut r);
             match SbOp::at(i) {

@@ -1192,7 +1192,6 @@ impl TpccSilo {
         &self,
         tr: &mut T,
         rng: &mut SmallRng,
-        cancel: Option<&bionicdb_silo::CancelToken>,
     ) -> bool {
         use silo_tables::*;
         let w = rng.gen_range(0..self.warehouses);
@@ -1200,9 +1199,6 @@ impl TpccSilo {
         let c = rng.gen_range(0..self.spec.customers_per_district);
         let ol_cnt = rng.gen_range(5..=MAX_OL as u64);
         let mut txn = self.db.txn();
-        if let Some(c) = cancel {
-            txn.set_cancel(c.clone());
-        }
         let mut buf = Vec::new();
 
         // Independent lookups can overlap (bounded by the CPU's window).
@@ -1267,7 +1263,6 @@ impl TpccSilo {
         &self,
         tr: &mut T,
         rng: &mut SmallRng,
-        cancel: Option<&bionicdb_silo::CancelToken>,
     ) -> bool {
         use silo_tables::*;
         let w = rng.gen_range(0..self.warehouses);
@@ -1275,9 +1270,6 @@ impl TpccSilo {
         let c = rng.gen_range(0..self.spec.customers_per_district);
         let amount = rng.gen_range(100..=500_000u64);
         let mut txn = self.db.txn();
-        if let Some(c) = cancel {
-            txn.set_cancel(c.clone());
-        }
         // Each RMW is a dependent chain; only the lookups themselves can
         // overlap, and the updates write distinct hot records.
         let ok = txn.modify(tr, WAREHOUSE, w, |p| add_u64(p, 0, amount))
@@ -1588,10 +1580,10 @@ mod tests {
         let mut no = 0;
         let mut pay = 0;
         for _ in 0..50 {
-            if sys.run_neworder(&mut NullTracer, &mut rng, None) {
+            if sys.run_neworder(&mut NullTracer, &mut rng) {
                 no += 1;
             }
-            if sys.run_payment(&mut NullTracer, &mut rng, None) {
+            if sys.run_payment(&mut NullTracer, &mut rng) {
                 pay += 1;
             }
         }
@@ -1607,7 +1599,7 @@ mod tests {
         let sys = TpccSilo::build(TpccSpec::tiny(), 1);
         let mut rng = SmallRng::seed_from_u64(12);
         for _ in 0..10 {
-            assert!(sys.run_neworder(&mut NullTracer, &mut rng, None));
+            assert!(sys.run_neworder(&mut NullTracer, &mut rng));
         }
         // Sum of (next_o_id - 1) over districts equals 10 NewOrders.
         let mut total = 0;
@@ -1774,7 +1766,7 @@ mod delivery_tests {
         let mut rng = SmallRng::seed_from_u64(17);
         // Create some orders.
         for _ in 0..6 {
-            assert!(sys.run_neworder(&mut NullTracer, &mut rng, None));
+            assert!(sys.run_neworder(&mut NullTracer, &mut rng));
         }
         let mut delivered = 0;
         let mut empties = 0;

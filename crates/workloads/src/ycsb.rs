@@ -572,18 +572,13 @@ impl YcsbSilo {
     }
 
     /// Run one YCSB-C transaction (16 independent reads); returns false on
-    /// abort (cannot happen read-only, but kept uniform). `cancel` attaches
-    /// a serving-layer deadline token: the commit aborts when it has fired.
+    /// abort (cannot happen read-only, but kept uniform).
     pub fn run_read_txn<T: bionicdb_cpu_model::Tracer>(
         &self,
         tr: &mut T,
         rng: &mut SmallRng,
-        cancel: Option<&bionicdb_silo::CancelToken>,
     ) -> bool {
         let mut txn = self.db.txn();
-        if let Some(c) = cancel {
-            txn.set_cancel(c.clone());
-        }
         let mut buf = Vec::with_capacity(self.spec.payload_len as usize);
         tr.begin_group(self.spec.ops_per_txn);
         for _ in 0..self.spec.ops_per_txn {
@@ -602,12 +597,8 @@ impl YcsbSilo {
         tr: &mut T,
         rng: &mut SmallRng,
         index: usize,
-        cancel: Option<&bionicdb_silo::CancelToken>,
     ) -> bool {
         let mut txn = self.db.txn();
-        if let Some(c) = cancel {
-            txn.set_cancel(c.clone());
-        }
         let start = rng.gen_range(
             0..self
                 .keyspace

@@ -59,7 +59,7 @@ fn main() {
     let mut rng = YcsbBionic::rng(43);
     let n = 500;
     for _ in 0..n {
-        silo.run_read_txn(&mut model, &mut rng, None);
+        silo.run_read_txn(&mut model, &mut rng);
     }
     let per_core = n as f64 / model.secs();
     println!("\nSilo on the modelled Xeon E7-4807:");
