@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use bionicdb::{BatchMode, BionicConfig, ExecMode, Machine, MachineReport};
 use bionicdb_bench::batchbench::{sweep, to_json};
 use bionicdb_bench::json::{render_machine_row, validate, JsonOut};
-use bionicdb_bench::serve::hw::{hw_servers, probe_hw, simulate_hw};
+use bionicdb_bench::serve::hw::{hw_servers, probe_hw_variant, simulate_hw_variant};
 use bionicdb_bench::serve::sim::{probe_service_ns, simulate};
 use bionicdb_bench::serve::{ArrivalProcess, RetryMode, ServeConfig, ShedPolicy};
 use bionicdb_bench::*;
@@ -285,7 +285,7 @@ fn serve_hw_rows() -> Vec<String> {
         (ServeKind::YcsbC, None),
         (ServeKind::YcsbC, Some(4)),
     ] {
-        let probe = probe_hw(kind, workers, 48);
+        let probe = probe_hw_variant(kind, workers, 48, false);
         let deadline = (probe.mean_latency_ns * 8.0) as u64;
         let arrivals = ArrivalProcess::Poisson {
             rate_per_sec: 1.5 * probe.capacity_per_sec,
@@ -297,7 +297,7 @@ fn serve_hw_rows() -> Vec<String> {
             cfg = cfg.with_batch(width, (deadline / 8).max(1));
             label = format!("hw/batched/{}", kind.name());
         }
-        let sum = simulate_hw(kind, workers, width, &cfg);
+        let sum = simulate_hw_variant(kind, workers, width, false, &cfg);
         sum.assert_conserved();
         rows.push(sum.render_json(&label));
     }
@@ -407,9 +407,8 @@ fn fleet_ycsb(fleet: bool) -> String {
 
 /// The same machine fed by streaming arrivals: one transaction every 97
 /// cycles, round-robin over the workers, each entering at the cycle
-/// `step_until` landed on (`submit_txn` enters through `Machine::submit`,
-/// the call `inject_txn` aliases), then a drain to quiescence and an idle
-/// step. Returns the full report JSON.
+/// `step_until` landed on (`submit_txn` enters through `Machine::submit`),
+/// then a drain to quiescence and an idle step. Returns the full report JSON.
 fn fleet_ycsb_streamed(fleet: bool) -> String {
     let mut y = fleet_ycsb_machine(fleet);
     let mut rng = YcsbBionic::rng(7);

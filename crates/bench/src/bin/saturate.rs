@@ -14,10 +14,10 @@
 //!
 //! * `sim` (default) — the Silo baseline under the calibrated core model
 //!   (virtual time, byte-stable);
-//! * `hw` — the cycle-accurate BionicDB machine: dispatches inject
-//!   transactions mid-run through `Machine::inject_txn`/`step_until`
-//!   (DESIGN.md §17), capacity comes from a closed preloaded wave, and
-//!   the sweep additionally compares *batched admission* (front-end
+//! * `hw` — the cycle-accurate BionicDB machine: dispatches enter
+//!   transactions mid-run through `Machine::submit` between `step_until`
+//!   calls (DESIGN.md §17), capacity comes from a closed preloaded wave,
+//!   and the sweep additionally compares *batched admission* (front-end
 //!   request groups feeding `BatchMode::CrossTxn` index waves) against
 //!   unbatched dispatch at the saturation point — batching must not lose
 //!   goodput, and on the index-bound YCSB mixes it must win.
@@ -39,13 +39,12 @@
 //!                  [--json PATH] [--history PATH]`
 
 use bionicdb_bench::history::{self, Entry};
-use bionicdb_bench::serve::hw::{
-    hw_config, hw_servers, probe_hw, probe_hw_variant, simulate_hw, simulate_hw_variant,
-};
+use bionicdb_bench::serve::hw::{hw_config, hw_servers, probe_hw_variant, simulate_hw_variant};
 use bionicdb_bench::serve::sim::{probe_service_ns, simulate};
 use bionicdb_bench::serve::{ArrivalProcess, ServeConfig, ServeSummary};
 use bionicdb_bench::{json::JsonOut, print_table, ArgSpec, BenchArgs};
 use bionicdb_workloads::{ServeKind, ServeMix};
+use std::num::NonZeroUsize;
 
 const SPEC: ArgSpec = ArgSpec {
     bin: "saturate",
@@ -85,7 +84,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let servers: usize = args.parsed("--servers", 4);
+    // Zero servers would make a zero capacity and a degenerate sweep: a
+    // `NonZeroUsize` parse rejects it as a bad value (usage, exit 2).
+    let servers = args
+        .parsed("--servers", NonZeroUsize::new(4).expect("nonzero"))
+        .get();
     let only = args.value("--kind").map(|s| {
         ServeKind::parse(s).unwrap_or_else(|| {
             eprintln!("saturate: unknown --kind {s} (want one of ycsb_c, ycsb_scan, tpcc_mixed, tpcc_payment, smallbank)");
@@ -145,7 +148,7 @@ fn main() {
                 (servers as f64 * 1e9 / svc, svc, servers)
             }
             Engine::Hw => {
-                let p = probe_hw(kind, HW_WORKERS, hw_probe_txns);
+                let p = probe_hw_variant(kind, HW_WORKERS, hw_probe_txns, false);
                 (
                     p.capacity_per_sec,
                     p.mean_latency_ns,
@@ -165,7 +168,7 @@ fn main() {
 
         let run = |cfg: &ServeConfig, cross_txn: Option<usize>| match engine {
             Engine::Sim => simulate(&ServeMix::build(kind, 1), cfg),
-            Engine::Hw => simulate_hw(kind, HW_WORKERS, cross_txn, cfg),
+            Engine::Hw => simulate_hw_variant(kind, HW_WORKERS, cross_txn, false, cfg),
         };
 
         let mut points: Vec<Point> = Vec::new();

@@ -100,7 +100,7 @@ pub fn host_cpus() -> u64 {
 }
 
 /// This host's key: the CPU model from `/proc/cpuinfo` (`unknown` where
-/// there is none), `/`, and [`host_cpus`], sanitized by [`sanitize_host`].
+/// there is none), `/`, and [`host_cpus`], sanitized by `sanitize_host`.
 pub fn host_key() -> String {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let model = cpuinfo

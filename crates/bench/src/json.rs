@@ -6,8 +6,8 @@
 //! machine's observability histograms), and the abort-reason breakdown.
 //! The serializer is hand-rolled (offline build, no serde) and emits keys
 //! in a fixed order, so two identical fixed-seed runs produce
-//! byte-identical dumps — `scripts/check.sh` diffs them to smoke-test
-//! cycle determinism.
+//! byte-identical dumps — `goldencheck`'s `stats` check compares a rerun
+//! byte for byte to test cycle determinism.
 
 use crate::Tput;
 use bionicdb::Machine;
@@ -116,9 +116,9 @@ impl JsonOut {
 
 /// Validate that `s` is one syntactically well-formed JSON value (the
 /// whole string, no trailing garbage beyond whitespace). A tiny
-/// recursive-descent checker — the offline build has no serde, and the
-/// stats smoke test in `scripts/check.sh` only needs to prove the
-/// hand-rolled writers emit parseable documents.
+/// recursive-descent checker — the offline build has no serde, and
+/// `goldencheck` (its `stats` check and the serving matrices) only needs
+/// to prove the hand-rolled writers emit parseable documents.
 pub fn validate(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut i = skip_ws(b, 0);

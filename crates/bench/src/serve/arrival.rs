@@ -44,10 +44,12 @@ pub enum ArrivalProcess {
 }
 
 /// Why a serving configuration was rejected. Degenerate parameters (zero
-/// or NaN rates, a zero-capacity admission queue) used to slip through
-/// and produce nonsense sweeps — infinite gaps, instant shedding of all
-/// traffic — that looked like measurements; constructors now refuse them
-/// up front with a typed error.
+/// or NaN rates, a zero-capacity admission queue, no servers, a zero-wide
+/// dispatch batch) used to slip through and produce nonsense sweeps —
+/// infinite gaps, instant shedding of all traffic — that looked like
+/// measurements; constructors and
+/// [`ServeConfig::validate`](super::ServeConfig::validate) now refuse
+/// them up front with a typed error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeConfigError {
     /// An arrival rate was zero, negative, NaN, or infinite. Carries the
@@ -59,6 +61,12 @@ pub enum ServeConfigError {
     /// A bounded shedding policy with a zero-capacity queue: every
     /// request is shed on arrival and the sweep measures nothing.
     ZeroQueueCapacity,
+    /// No servers: nothing could ever execute, and a capacity derived
+    /// from the server count is zero.
+    ZeroServers,
+    /// A batched-admission policy with width 0: no staged group could
+    /// ever fill.
+    ZeroBatchWidth,
 }
 
 impl std::fmt::Display for ServeConfigError {
@@ -73,6 +81,8 @@ impl std::fmt::Display for ServeConfigError {
             ServeConfigError::ZeroQueueCapacity => {
                 write!(f, "bounded admission queue needs capacity >= 1")
             }
+            ServeConfigError::ZeroServers => write!(f, "serving needs at least 1 server"),
+            ServeConfigError::ZeroBatchWidth => write!(f, "batched admission needs width >= 1"),
         }
     }
 }

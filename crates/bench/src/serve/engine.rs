@@ -361,9 +361,7 @@ pub fn serve_with<E: ServeEngine>(engine: &mut E, cfg: &ServeConfig) -> ServeSum
     let mut rng_arr = SmallRng::seed_from_u64(cfg.seed);
     let mut gen = ArrivalGen::new(cfg.arrivals);
     let free = engine.servers().max(1);
-    let width = cfg
-        .batch
-        .map_or(1, |b| b.width.min(engine.servers().max(1)).max(1));
+    let width = cfg.batch.map_or(1, |b| b.width.min(free));
     let mut lp = ServeLoop {
         cfg,
         engine,

@@ -3,10 +3,10 @@
 //!
 //! Where the Silo engine runs each transaction body inline against the
 //! core model ([`Dispatch::Done`]), this engine is genuinely concurrent:
-//! [`ServeEngine::dispatch`] steps the [`Machine`] to the arrival's
-//! simulated cycle and enters the transaction through
-//! [`Machine::inject_txn`] — mid-run, with earlier dispatches still in
-//! the softcores' interleaving batches — and returns
+//! [`ServeEngine::dispatch`] steps the [`Machine`](bionicdb::Machine) to
+//! the arrival's simulated cycle and enters the transaction through
+//! [`Machine::submit`](bionicdb::Machine::submit) — mid-run, with earlier
+//! dispatches still in the softcores' interleaving batches — and returns
 //! [`Dispatch::Pending`]. Completions surface from
 //! [`ServeEngine::advance`], which walks the machine's clock forward in
 //! bounded chunks ([`ADVANCE_CHUNK_CYCLES`]) and watches each in-flight
@@ -161,13 +161,8 @@ pub struct HwProbe {
 /// injection proptest pins against), run to quiescence, and convert the
 /// committed throughput at the FPGA clock. Deterministic for a fixed
 /// build — the probe runs on its own machine so the serving run starts
-/// from identically prepared state.
-pub fn probe_hw(kind: ServeKind, workers: usize, txns_per_worker: usize) -> HwProbe {
-    probe_hw_variant(kind, workers, txns_per_worker, false)
-}
-
-/// [`probe_hw`] with the variant switch: `chained_hash` probes the
-/// long-chain YCSB-C table instead of the stock one.
+/// from identically prepared state. `chained_hash` probes the long-chain
+/// YCSB-C table ([`CHAINED_HASH_BUCKETS`]) instead of the stock one.
 pub fn probe_hw_variant(
     kind: ServeKind,
     workers: usize,
@@ -226,20 +221,11 @@ impl BionicServeEngine {
     /// Build the engine for one run. `cross_txn` arms hardware
     /// cross-transaction index batching (pair it with
     /// [`ServeConfig::with_batch`](super::ServeConfig::with_batch) on the
-    /// front end so flushed groups actually enter together). Callers
-    /// should set `cfg.servers` to [`BionicServeEngine::servers`] so
-    /// queue sizing tracks the machine's real concurrency.
-    pub fn new(
-        kind: ServeKind,
-        workers: usize,
-        cross_txn: Option<usize>,
-        cfg: &ServeConfig,
-    ) -> BionicServeEngine {
-        BionicServeEngine::new_variant(kind, workers, cross_txn, false, cfg)
-    }
-
-    /// [`BionicServeEngine::new`] with the variant switch: `chained_hash`
-    /// serves the long-chain YCSB-C table (see [`CHAINED_HASH_BUCKETS`]).
+    /// front end so flushed groups actually enter together);
+    /// `chained_hash` serves the long-chain YCSB-C table (see
+    /// [`CHAINED_HASH_BUCKETS`]). Callers should set `cfg.servers` to
+    /// [`hw_servers`] so queue sizing tracks the machine's real
+    /// concurrency.
     pub fn new_variant(
         kind: ServeKind,
         workers: usize,
@@ -396,18 +382,9 @@ impl ServeEngine for BionicServeEngine {
 }
 
 /// Run one open-loop serving scenario against the cycle-accurate machine.
-pub fn simulate_hw(
-    kind: ServeKind,
-    workers: usize,
-    cross_txn: Option<usize>,
-    cfg: &ServeConfig,
-) -> super::ServeSummary {
-    simulate_hw_variant(kind, workers, cross_txn, false, cfg)
-}
-
-/// [`simulate_hw`] with the variant switch: `chained_hash` serves the
-/// long-chain YCSB-C table — the regime where cross-transaction index
-/// waves pay (the `saturate --engine hw` batched-admission claim).
+/// `chained_hash` serves the long-chain YCSB-C table — the regime where
+/// cross-transaction index waves pay (the `saturate --engine hw`
+/// batched-admission claim).
 pub fn simulate_hw_variant(
     kind: ServeKind,
     workers: usize,
@@ -439,12 +416,12 @@ mod tests {
     #[test]
     fn hw_light_load_commits_and_is_deterministic() {
         let workers = 2;
-        let probe = probe_hw(ServeKind::SmallBank, workers, 24);
+        let probe = probe_hw_variant(ServeKind::SmallBank, workers, 24, false);
         assert!(probe.capacity_per_sec > 0.0);
         let servers = hw_servers(ServeKind::SmallBank, workers);
         let cfg = light_cfg(&probe, 60, 11, servers);
-        let a = simulate_hw(ServeKind::SmallBank, workers, None, &cfg);
-        let b = simulate_hw(ServeKind::SmallBank, workers, None, &cfg);
+        let a = simulate_hw_variant(ServeKind::SmallBank, workers, None, false, &cfg);
+        let b = simulate_hw_variant(ServeKind::SmallBank, workers, None, false, &cfg);
         assert_eq!(
             a.render_json("hw"),
             b.render_json("hw"),
@@ -463,16 +440,16 @@ mod tests {
     #[test]
     fn hw_engine_drains_under_batched_admission() {
         let workers = 2;
-        let probe = probe_hw(ServeKind::YcsbC, workers, 24);
+        let probe = probe_hw_variant(ServeKind::YcsbC, workers, 24, false);
         let servers = hw_servers(ServeKind::YcsbC, workers);
         let width = 8;
         let cfg = light_cfg(&probe, 80, 23, servers)
             .with_batch(width, (probe.mean_latency_ns * 2.0) as u64);
-        let sum = simulate_hw(ServeKind::YcsbC, workers, Some(width), &cfg);
+        let sum = simulate_hw_variant(ServeKind::YcsbC, workers, Some(width), false, &cfg);
         assert_eq!(sum.fresh, 80);
         sum.assert_conserved();
         assert!(sum.good > 0, "batched hw serving commits: {sum:?}");
-        let again = simulate_hw(ServeKind::YcsbC, workers, Some(width), &cfg);
+        let again = simulate_hw_variant(ServeKind::YcsbC, workers, Some(width), false, &cfg);
         assert_eq!(sum.render_json("b"), again.render_json("b"));
     }
 
@@ -483,7 +460,7 @@ mod tests {
         // route them through the retry machinery without losing ledger
         // conservation.
         let workers = 2;
-        let probe = probe_hw(ServeKind::TpccPayment, workers, 24);
+        let probe = probe_hw_variant(ServeKind::TpccPayment, workers, 24, false);
         let servers = hw_servers(ServeKind::TpccPayment, workers);
         let cfg = ServeConfig::controlled(
             ArrivalProcess::Poisson {
@@ -494,7 +471,7 @@ mod tests {
             servers,
             31,
         );
-        let sum = simulate_hw(ServeKind::TpccPayment, workers, None, &cfg);
+        let sum = simulate_hw_variant(ServeKind::TpccPayment, workers, None, false, &cfg);
         assert_eq!(sum.fresh, 120);
         sum.assert_conserved();
         assert!(sum.good > 0);

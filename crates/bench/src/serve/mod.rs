@@ -28,10 +28,10 @@
 //! * [`sim`] — the Silo virtual-time engine: service times come from the
 //!   calibrated Xeon core model, events run on a discrete-event heap,
 //!   summaries are byte-stable (the `goldencheck` serve golden);
-//! * [`hw`] — the BionicDB hardware engine: dispatches inject
+//! * [`hw`] — the BionicDB hardware engine: dispatches submit
 //!   transactions into the cycle-accurate [`bionicdb::Machine`] mid-run
-//!   (`inject_txn`/`step_until`, DESIGN.md §17) and completions surface
-//!   at exact simulated-commit times.
+//!   (`submit` between `step_until` calls, DESIGN.md §17) and completions
+//!   surface at exact simulated-commit times.
 //!
 //! Both engines run in virtual time through [`engine::serve_with`], which
 //! enforces deadlines at the commit point for each of them: a completion
@@ -231,15 +231,21 @@ impl ServeConfig {
         self
     }
 
-    /// Reject degenerate parameters with a typed error: invalid arrival
-    /// rates (zero/negative/NaN/infinite), zero MMPP dwell times, and a
-    /// zero-capacity queue under a bounded shedding policy (which would
-    /// shed every request on arrival and measure nothing). The engines
-    /// call this before running.
+    /// Reject degenerate parameters with a typed error: zero servers,
+    /// invalid arrival rates (zero/negative/NaN/infinite), zero MMPP dwell
+    /// times, a zero-capacity queue under a bounded shedding policy (which
+    /// would shed every request on arrival and measure nothing), and a
+    /// zero-wide batch policy. The engines call this before running.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
+        if self.servers == 0 {
+            return Err(ServeConfigError::ZeroServers);
+        }
         self.arrivals.validate()?;
         if self.policy != ShedPolicy::None && self.queue_capacity == 0 {
             return Err(ServeConfigError::ZeroQueueCapacity);
+        }
+        if self.batch.is_some_and(|b| b.width == 0) {
+            return Err(ServeConfigError::ZeroBatchWidth);
         }
         Ok(())
     }
@@ -489,6 +495,19 @@ mod tests {
         unbounded.policy = ShedPolicy::None;
         unbounded.queue_capacity = 0;
         assert!(unbounded.validate().is_ok());
+
+        let mut no_servers = good;
+        no_servers.servers = 0;
+        assert_eq!(
+            no_servers.validate().unwrap_err(),
+            ServeConfigError::ZeroServers
+        );
+
+        assert_eq!(
+            good.with_batch(0, 1_000).validate().unwrap_err(),
+            ServeConfigError::ZeroBatchWidth
+        );
+        assert!(good.with_batch(1, 1_000).validate().is_ok());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   the request counts as timed out. `ServeLoop::settle` in
 //!   [`super::engine`] makes that call for every engine; the Silo
 //!   transaction itself carries no deadline.
-//! * Client retry per [`RetryMode`], with backoff delays in virtual time.
+//! * Client retry per [`RetryMode`](super::RetryMode), with backoff delays in virtual time.
 //!
 //! Transactions execute one at a time (virtual servers overlap in virtual
 //! time, not on host threads), so OCC conflicts cannot arise here — abort

@@ -370,7 +370,13 @@ impl Machine {
 
     /// Submit a populated block to `worker`'s input queue, stamping the
     /// current cycle as the block's submission time so queue-wait latency
-    /// is measured from here.
+    /// is measured from here. This is both the preload path (fill every
+    /// queue, then run to quiescence) and the streaming-arrival entry
+    /// point of the serving front end (DESIGN.md §17): called mid-run,
+    /// between [`Machine::step_until`] calls, a transaction enters at an
+    /// arbitrary simulated cycle. Submitting at cycle 0 is therefore
+    /// byte-identical to a preload (see the `inject_equivalence`
+    /// proptest).
     pub fn submit(&mut self, worker: usize, blk: TxnBlock) {
         if let Some(f) = &mut self.fleet {
             // The live worker lives in a chip process: queue the submit for
@@ -548,26 +554,12 @@ impl Machine {
         self.advance(limit, true)
     }
 
-    /// Inject a populated transaction block into `worker`'s input queue at
-    /// the machine's *current* cycle — the streaming-arrival entry point
-    /// used by the serving front end (DESIGN.md §17). Identical to
-    /// [`Machine::submit`] except in intent: `submit` is the preload path
-    /// (fill every queue, then run to quiescence), while `inject_txn` is
-    /// called mid-run, interleaved with [`Machine::step_until`], so
-    /// transactions enter the machine at arbitrary simulated cycles. The
-    /// submission cycle stamped into the block is `self.now` either way,
-    /// which is what makes injection at cycle 0 byte-identical to a
-    /// preload (see the `inject_equivalence` proptest).
-    pub fn inject_txn(&mut self, worker: usize, blk: TxnBlock) {
-        self.submit(worker, blk);
-    }
-
     /// Advance the machine to exactly cycle `target` (no-op if `target`
     /// is in the past), regardless of quiescence: an idle machine still
     /// walks its clock forward, charging idle accounting bit-identically
     /// to strict ticking. This is the streaming counterpart of
     /// [`Machine::run_to_quiescence`]: the serving front end alternates
-    /// `inject_txn` (arrivals) with `step_until` (the span until the next
+    /// `submit` (arrivals) with `step_until` (the span until the next
     /// arrival), and the machine executes work *and* absorbs new input at
     /// arbitrary simulated cycles.
     ///

@@ -65,7 +65,7 @@
 //! `goldencheck`'s `fleet` check asserts the contract end to end:
 //! full `MachineReport` JSON from a fleet run diffs byte-for-byte against
 //! the in-process engine on fixed seeds, for preloaded and for streamed
-//! (`inject_txn` + `step_until`) runs.
+//! (`submit` between `step_until` calls) runs.
 //!
 //! # Process-model caveats
 //!

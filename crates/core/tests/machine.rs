@@ -469,7 +469,7 @@ fn staggered_injection_is_schedule_invariant() {
             assert_eq!(db.now(), landed, "step_until lands on its target or the crash");
             db.init_block(blk, bump);
             db.write_block_u64(blk, 0, key);
-            db.inject_txn(worker, blk);
+            db.submit(worker, blk);
         }
         db.step_until(HORIZON);
         let committed = blocks

@@ -527,7 +527,7 @@ pub type WriteJournal = Vec<(u64, Vec<u8>)>;
 
 /// The simulated FPGA-side DRAM: functional byte store plus timing model.
 ///
-/// The byte image lives in a [`PageStore`] shared by reference: [`Dram::bank`]
+/// The byte image lives in a `PageStore` shared by reference: [`Dram::bank`]
 /// creates additional views with private controllers/ports over the same
 /// bytes, which is how the machine gives every partition worker its own
 /// memory channel (the HC-2's DIMM groups are physically partitioned the
@@ -593,7 +593,7 @@ impl Dram {
     }
 
     /// A new bank over the *same* functional bytes: private controllers,
-    /// ports, statistics, and fault ordinals, shared [`PageStore`]. A write
+    /// ports, statistics, and fault ordinals, shared `PageStore`. A write
     /// through any bank is immediately visible to reads through every other
     /// (functional effects apply at issue time, as always).
     pub fn bank(&self) -> Dram {
@@ -770,7 +770,7 @@ impl Dram {
     /// Advance the DRAM to cycle `now`, delivering any responses whose
     /// latency has elapsed into their issuing port's response queue.
     /// Posted-write acknowledgements are cancelled here instead of
-    /// delivered (see [`Controller::inflight`]): they leave the in-flight
+    /// delivered (see `Controller::inflight`): they leave the in-flight
     /// queue at exactly the cycle they always did — so issue-time
     /// back-pressure is unchanged — but no consumer ever has to wake up
     /// just to discard them.
@@ -808,7 +808,7 @@ impl Dram {
     /// The earliest future cycle at which an in-flight request completes
     /// *observably* — i.e. buffers a response some consumer will read — or
     /// `None` when nothing observable is in flight. Each controller's queue
-    /// is sorted by completion time (see [`Controller::inflight`]) except
+    /// is sorted by completion time (see `Controller::inflight`) except
     /// for injected read-fault extras, and delivery is in queue order, so
     /// the first non-ack entry bounds when its controller next buffers a
     /// response. Leading posted-write acknowledgements are skipped: they

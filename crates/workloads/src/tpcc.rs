@@ -42,10 +42,10 @@ use bionicdb_softcore::isa::{AluOp, Cond, Cp, MemBase, Operand};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::abi::procs::{
-    abort_clear_dirty, commit_tuple, ret_or_abort, FLAGS_OFF, PAYLOAD, TOMBSTONE, WRITE_TS_OFF,
-};
 use crate::abi::assemble;
+use crate::abi::procs::{
+    abort_clear_dirty, commit_tuple, ret_or_abort, FLAGS_OFF, PAYLOAD, TOMBSTONE,
+};
 use crate::spec::{customer_key, district_key, order_key, orderline_key, stock_key, TpccSpec};
 
 /// Maximum order lines per NewOrder (TPC-C: 5–15).
@@ -81,9 +81,13 @@ impl TpccMix {
 
 /// warehouse payload: [ytd, tax‰, pad, pad] (32 B)
 pub const WAREHOUSE_PAYLOAD: u32 = 32;
-/// district payload: `[next_o_id, ytd, tax permille, next_deliv_o_id]` (32 B)
+/// district payload: `[next_o_id, ytd, tax permille, unused]` (32 B). The
+/// 4th word (TPC-C's `next_deliv_o_id`) is loaded as 1 and never read: no
+/// modelled transaction uses it, but it keeps every address in place.
 pub const DISTRICT_PAYLOAD: u32 = 32;
-/// customer payload: [balance, ytd_payment, payment_cnt, pad ×5] (64 B)
+/// customer payload: [balance, ytd_payment, payment_cnt, unused, pad ×4]
+/// (64 B). The 4th word (TPC-C's `delivery_cnt`) is loaded as 0 and never
+/// read, like the district's.
 pub const CUSTOMER_PAYLOAD: u32 = 64;
 /// stock payload: [quantity, ytd, order_cnt, remote_cnt] (32 B)
 pub const STOCK_PAYLOAD: u32 = 32;
@@ -144,24 +148,6 @@ const PAY_AMOUNT: u64 = 40;
 const PAY_H_PAY: u64 = 48; // 32 B host-prewritten
 /// User-area size of a Payment block.
 pub const PAY_USER_SIZE: u64 = PAY_H_PAY + HISTORY_PAYLOAD as u64;
-
-// ---------------------------------------------------------------------------
-// Delivery transaction-block layout (one district per invocation — the
-// DORA-style decomposition this partitioned design favours; a full TPC-C
-// Delivery is ten of these)
-// ---------------------------------------------------------------------------
-
-const DLV_D_KEY: u64 = 0;
-const DLV_OKEY_BASE: u64 = 8;
-const DLV_OLKEY_BASE: u64 = 16;
-const DLV_C_KEY_BUF: u64 = 24; // runtime: customer key from the order row
-const DLV_O_ID_OUT: u64 = 32; // delivered order id (0 = queue empty)
-const DLV_AMOUNT_OUT: u64 = 40;
-const DLV_OKEY_BUF: u64 = 48; // runtime: okey_base + o_id
-const DLV_UNDO_NDEL: u64 = 56;
-const DLV_OL_KEYS: u64 = 64; // 15 runtime order-line keys
-/// User-area size of a Delivery block.
-pub const DLV_USER_SIZE: u64 = DLV_OL_KEYS + 8 * MAX_OL as u64;
 
 /// Table handles of the TPC-C schema.
 #[derive(Debug, Clone, Copy)]
@@ -636,222 +622,6 @@ pub fn build_payment_proc(t: &TpccTables, local_only: bool) -> bionicdb_softcore
     b.build().expect("payment proc")
 }
 
-/// Build the (per-district) Delivery stored procedure — the third TPC-C
-/// transaction, which the paper does not evaluate. It pops the oldest
-/// undelivered order of one district: reads + advances the district's
-/// `next_deliv_o_id`, removes the NEW-ORDER row, reads the order for its
-/// customer and line count, sums the order lines, and credits the
-/// customer's balance. Everything is local to the district's partition.
-#[allow(clippy::too_many_lines)]
-pub fn build_delivery_proc(t: &TpccTables) -> bionicdb_softcore::Procedure {
-    let mut b = ProcBuilder::new("tpcc_delivery");
-    let c_di = b.cp();
-    let c_no = b.cp();
-    let c_or = b.cp();
-    let c_cu = b.cp();
-    let c_ol: Vec<Cp> = (0..MAX_OL).map(|_| b.cp()).collect();
-
-    let g_ts = b.gp();
-    let g_zero = b.gp();
-    let g_skip = b.gp(); // 1 = empty queue, commit without effects
-    let g_prog = b.gp(); // 0 = only district dispatched; 1 = all dispatched
-    let g_d = b.gp(); // district tuple address
-    let g_cnt = b.gp(); // ol_cnt of the delivered order
-    let g_a = b.gp();
-    let g_b = b.gp();
-    let g_c = b.gp();
-
-    // ---------------- logic ----------------
-    b.getts(g_ts);
-    b.mov(g_zero, Operand::Imm(0));
-    b.mov(g_skip, Operand::Imm(0));
-    b.mov(g_prog, Operand::Imm(0));
-    b.mov(g_cnt, Operand::Imm(0));
-    b.update(
-        t.district,
-        Operand::Imm(DLV_D_KEY as i64),
-        Operand::Imm(-1),
-        c_di,
-    );
-    let fail = b.label();
-    b.ret(g_d, c_di)
-        .cmp(g_d, Operand::Imm(0))
-        .br(Cond::Lt, fail);
-    // queue empty? next_deliv (payload+24) >= next_o_id (payload+0)
-    b.load(g_a, MemBase::Reg(g_d), Operand::Imm(PAYLOAD + 24));
-    b.load(g_b, MemBase::Reg(g_d), Operand::Imm(PAYLOAD));
-    let have_work = b.label();
-    b.cmp(g_a, Operand::Reg(g_b));
-    b.br(Cond::Lt, have_work);
-    b.mov(g_skip, Operand::Imm(1));
-    b.store(g_zero, MemBase::Block, Operand::Imm(DLV_O_ID_OUT as i64));
-    let to_commit = b.label();
-    b.jmp(to_commit);
-
-    b.bind(have_work);
-    // o_id := next_deliv; UNDO-backup then advance in place.
-    b.store(g_a, MemBase::Block, Operand::Imm(DLV_UNDO_NDEL as i64));
-    b.store(g_a, MemBase::Block, Operand::Imm(DLV_O_ID_OUT as i64));
-    b.mov(g_b, Operand::Reg(g_a));
-    b.add(g_b, Operand::Imm(1));
-    b.store(g_b, MemBase::Reg(g_d), Operand::Imm(PAYLOAD + 24));
-    // okey = okey_base + o_id; remove NEW-ORDER, read ORDER.
-    b.load(g_b, MemBase::Block, Operand::Imm(DLV_OKEY_BASE as i64));
-    b.add(g_b, Operand::Reg(g_a));
-    b.store(g_b, MemBase::Block, Operand::Imm(DLV_OKEY_BUF as i64));
-    b.remove(
-        t.new_orders,
-        Operand::Imm(DLV_OKEY_BUF as i64),
-        Operand::Imm(-1),
-        c_no,
-    );
-    b.search(
-        t.orders,
-        Operand::Imm(DLV_OKEY_BUF as i64),
-        Operand::Imm(-1),
-        c_or,
-    );
-    b.mov(g_prog, Operand::Imm(1));
-    // Need the order row now: customer key and line count.
-    let g_o = b.gp();
-    b.ret(g_o, c_or)
-        .cmp(g_o, Operand::Imm(0))
-        .br(Cond::Lt, fail);
-    b.load(g_c, MemBase::Reg(g_o), Operand::Imm(PAYLOAD)); // c_key
-    b.store(g_c, MemBase::Block, Operand::Imm(DLV_C_KEY_BUF as i64));
-    b.load(g_cnt, MemBase::Reg(g_o), Operand::Imm(PAYLOAD + 8)); // ol_cnt
-    b.update(
-        t.customer,
-        Operand::Imm(DLV_C_KEY_BUF as i64),
-        Operand::Imm(-1),
-        c_cu,
-    );
-    // Order-line searches (unrolled; olkey = olkey_base + o_id*256 + i).
-    b.load(g_b, MemBase::Block, Operand::Imm(DLV_OLKEY_BASE as i64));
-    b.alu(AluOp::Mul, g_a, Operand::Imm(256));
-    b.add(g_b, Operand::Reg(g_a)); // olkey_base + o_id<<8
-    let ol_done = b.label();
-    for (i, &cl) in c_ol.iter().enumerate() {
-        b.cmp(g_cnt, Operand::Imm(i as i64));
-        b.br(Cond::Le, ol_done);
-        b.mov(g_a, Operand::Reg(g_b));
-        b.add(g_a, Operand::Imm(i as i64));
-        b.store(
-            g_a,
-            MemBase::Block,
-            Operand::Imm((DLV_OL_KEYS + 8 * i as u64) as i64),
-        );
-        b.search(
-            t.order_line,
-            Operand::Imm((DLV_OL_KEYS + 8 * i as u64) as i64),
-            Operand::Imm(-1),
-            cl,
-        );
-    }
-    b.bind(ol_done);
-    b.mov(g_prog, Operand::Imm(2));
-    b.bind(to_commit);
-    b.yield_();
-    b.bind(fail);
-    b.abort();
-
-    // ---------------- commit ----------------
-    b.begin_commit();
-    let done_empty = b.label();
-    // Empty queue: just release the district's dirty mark.
-    b.cmp(g_skip, Operand::Imm(1));
-    let full_path = b.label();
-    b.br(Cond::Lt, full_path);
-    b.store(g_zero, MemBase::Reg(g_d), Operand::Imm(FLAGS_OFF));
-    b.jmp(done_empty);
-
-    b.bind(full_path);
-    // Sum delivered order-line amounts.
-    let g_sum = b.gp();
-    let g_x = b.gp();
-    b.mov(g_sum, Operand::Imm(0));
-    let sum_done = b.label();
-    for (i, &cl) in c_ol.iter().enumerate() {
-        b.cmp(g_cnt, Operand::Imm(i as i64));
-        b.br(Cond::Le, sum_done);
-        let g_l = ret_or_abort(&mut b, cl, g_x);
-        b.load(g_a, MemBase::Reg(g_l), Operand::Imm(PAYLOAD + 16));
-        b.add(g_sum, Operand::Reg(g_a));
-    }
-    b.bind(sum_done);
-    b.store(g_sum, MemBase::Block, Operand::Imm(DLV_AMOUNT_OUT as i64));
-    // NEW-ORDER remove: clear dirty, keep tombstone, stamp ts.
-    let g_n = ret_or_abort(&mut b, c_no, g_x);
-    b.store(g_ts, MemBase::Reg(g_n), Operand::Imm(WRITE_TS_OFF));
-    let g_tomb2 = b.gp();
-    b.mov(g_tomb2, Operand::Imm(TOMBSTONE));
-    b.store(g_tomb2, MemBase::Reg(g_n), Operand::Imm(FLAGS_OFF));
-    // Customer: balance += sum, delivery_cnt += 1, commit tuple.
-    let g_cu = ret_or_abort(&mut b, c_cu, g_x);
-    b.load(g_a, MemBase::Reg(g_cu), Operand::Imm(PAYLOAD));
-    b.add(g_a, Operand::Reg(g_sum));
-    b.store(g_a, MemBase::Reg(g_cu), Operand::Imm(PAYLOAD));
-    b.load(g_a, MemBase::Reg(g_cu), Operand::Imm(PAYLOAD + 24));
-    b.add(g_a, Operand::Imm(1));
-    b.store(g_a, MemBase::Reg(g_cu), Operand::Imm(PAYLOAD + 24));
-    commit_tuple(&mut b, g_cu, g_ts, g_zero);
-    // District: the in-place advance happened in logic; commit it.
-    commit_tuple(&mut b, g_d, g_ts, g_zero);
-    b.bind(done_empty);
-    b.commit();
-
-    // ---------------- abort ----------------
-    b.begin_abort();
-    let g_y = b.gp();
-    // District: restore next_deliv if advanced (skip==0 means advanced
-    // when we got past the queue check), clear dirty.
-    let d_skip = b.label();
-    b.ret(g_y, c_di);
-    b.cmp(g_y, Operand::Imm(0));
-    b.br(Cond::Lt, d_skip);
-    let no_undo = b.label();
-    b.cmp(g_skip, Operand::Imm(1));
-    b.br(Cond::Ge, no_undo);
-    b.load(g_a, MemBase::Block, Operand::Imm(DLV_UNDO_NDEL as i64));
-    b.store(g_a, MemBase::Reg(g_y), Operand::Imm(PAYLOAD + 24));
-    b.bind(no_undo);
-    b.store(g_zero, MemBase::Reg(g_y), Operand::Imm(FLAGS_OFF));
-    b.bind(d_skip);
-    // NEW-ORDER remove + ORDER search were dispatched at g_prog >= 1.
-    let a_done = b.label();
-    b.cmp(g_prog, Operand::Imm(1));
-    b.br(Cond::Lt, a_done);
-    // NEW-ORDER remove: restore flags to 0 (undo dirty+tombstone).
-    let n_skip = b.label();
-    b.ret(g_y, c_no);
-    b.cmp(g_y, Operand::Imm(0));
-    b.br(Cond::Lt, n_skip);
-    b.store(g_zero, MemBase::Reg(g_y), Operand::Imm(FLAGS_OFF));
-    b.bind(n_skip);
-    b.ret(g_y, c_or); // read: no effect
-                      // Customer + order lines were dispatched at g_prog >= 2.
-    b.cmp(g_prog, Operand::Imm(2));
-    b.br(Cond::Lt, a_done);
-    let c_skip = b.label();
-    b.ret(g_y, c_cu);
-    b.cmp(g_y, Operand::Imm(0));
-    b.br(Cond::Lt, c_skip);
-    b.store(g_zero, MemBase::Reg(g_y), Operand::Imm(FLAGS_OFF));
-    b.bind(c_skip);
-    // Order-line reads: collect for pairing.
-    let a_ol_done = b.label();
-    for (i, &cl) in c_ol.iter().enumerate() {
-        b.cmp(g_cnt, Operand::Imm(i as i64));
-        b.br(Cond::Le, a_ol_done);
-        b.ret(g_y, cl);
-    }
-    b.bind(a_ol_done);
-    b.bind(a_done);
-    b.abort();
-
-    b.build().expect("delivery proc")
-}
-
 // ---------------------------------------------------------------------------
 // The assembled TPC-C system on BionicDB
 // ---------------------------------------------------------------------------
@@ -872,8 +642,6 @@ pub struct TpccBionic {
     pub neworder_local: ProcId,
     /// Local-only Payment.
     pub payment_local: ProcId,
-    /// Per-district Delivery (extension: the paper does not evaluate it).
-    pub delivery: ProcId,
     /// Per-worker history key sequence.
     history_seq: Vec<u64>,
     /// Per-worker order entry sequence (for ORDERS payload).
@@ -893,7 +661,6 @@ impl TpccBionic {
                     b.proc(build_payment_proc(&tables, false)),
                     b.proc(build_neworder_proc(&tables, true)),
                     b.proc(build_payment_proc(&tables, true)),
-                    b.proc(build_delivery_proc(&tables)),
                 )
             },
             |machine, w, h| {
@@ -932,7 +699,7 @@ impl TpccBionic {
                 }
             },
         );
-        let (tables, neworder, payment, neworder_local, payment_local, delivery) = h;
+        let (tables, neworder, payment, neworder_local, payment_local) = h;
         let workers = machine.num_workers();
         TpccBionic {
             machine,
@@ -942,7 +709,6 @@ impl TpccBionic {
             payment,
             neworder_local,
             payment_local,
-            delivery,
             history_seq: vec![0; workers],
             entry_seq: vec![0; workers],
         }
@@ -1013,25 +779,6 @@ impl TpccBionic {
             m.write_block_u64(blk, it(i, IT_OL_PAY) as u64 + 24, supply_w);
         }
         m.submit(worker, blk);
-    }
-
-    /// Block size for Delivery.
-    pub fn delivery_block_size() -> u64 {
-        bionicdb_softcore::BLOCK_HEADER_SIZE + DLV_USER_SIZE
-    }
-
-    /// Populate and submit one per-district Delivery for `worker`.
-    /// Returns the chosen district.
-    pub fn submit_delivery(&mut self, worker: usize, blk: TxnBlock, rng: &mut SmallRng) -> u64 {
-        let w = worker as u64;
-        let d = rng.gen_range(0..self.spec.districts_per_warehouse);
-        let m = &mut self.machine;
-        m.init_block(blk, self.delivery);
-        m.write_block_u64(blk, DLV_D_KEY, district_key(w, d));
-        m.write_block_u64(blk, DLV_OKEY_BASE, order_key(w, d, 0));
-        m.write_block_u64(blk, DLV_OLKEY_BASE, orderline_key(w, d, 0, 0));
-        m.submit(worker, blk);
-        d
     }
 
     /// Populate and submit one Payment for `worker`.
@@ -1291,63 +1038,6 @@ impl TpccSilo {
             pack32(&[customer_key(w, d, c), amount, 0, 0]),
         );
         txn.commit(tr).is_ok()
-    }
-}
-
-impl TpccSilo {
-    /// Run one per-district Delivery; returns `Ok(Some(o_id))` on a
-    /// delivered order, `Ok(None)` when the district queue is empty, and
-    /// `Err(())`-like `false` wrapped as `None`+abort via the bool.
-    pub fn run_delivery<T: bionicdb_cpu_model::Tracer>(
-        &self,
-        tr: &mut T,
-        rng: &mut SmallRng,
-    ) -> Option<Option<u64>> {
-        use silo_tables::*;
-        let w = rng.gen_range(0..self.warehouses);
-        let d = rng.gen_range(0..self.spec.districts_per_warehouse);
-        let mut txn = self.db.txn();
-        let mut buf = Vec::new();
-        if !txn.read(tr, DISTRICT, district_key(w, d), &mut buf) {
-            return None;
-        }
-        let next_o = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let next_deliv = u64::from_le_bytes(buf[24..32].try_into().unwrap());
-        if next_deliv >= next_o {
-            return txn.commit(tr).ok().map(|_| None);
-        }
-        let o_id = next_deliv;
-        buf[24..32].copy_from_slice(&(o_id + 1).to_le_bytes());
-        let district_img = buf.clone();
-        if !txn.update(tr, DISTRICT, district_key(w, d), &district_img) {
-            return None;
-        }
-        // Consume the NEW-ORDER row (logical delete = overwrite sentinel;
-        // the hash index has no remove, so mark it delivered).
-        if !txn.modify(tr, NEW_ORDERS, order_key(w, d, o_id), |p| {
-            p[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        }) {
-            return None;
-        }
-        if !txn.read(tr, ORDERS, order_key(w, d, o_id), &mut buf) {
-            return None;
-        }
-        let c_key = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let ol_cnt = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let mut total = 0u64;
-        for ol in 0..ol_cnt {
-            if !txn.read(tr, ORDER_LINE, orderline_key(w, d, o_id, ol), &mut buf) {
-                return None;
-            }
-            total += u64::from_le_bytes(buf[16..24].try_into().unwrap());
-        }
-        if !txn.modify(tr, CUSTOMER, c_key, |p| {
-            add_u64(p, 0, total);
-            add_u64(p, 24, 1);
-        }) {
-            return None;
-        }
-        txn.commit(tr).ok().map(|_| Some(o_id))
     }
 }
 
@@ -1615,169 +1305,5 @@ mod tests {
             total += u64::from_le_bytes(buf[..8].try_into().unwrap()) - 1;
         }
         assert_eq!(total, 10);
-    }
-}
-
-#[cfg(test)]
-mod delivery_tests {
-    use super::*;
-    use bionicdb::{BlockStatus, TxnStatus};
-    use bionicdb_cpu_model::NullTracer;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn tiny() -> TpccBionic {
-        TpccBionic::build(BionicConfig::small(1), TpccSpec::tiny())
-    }
-
-    /// Force a NewOrder into district `d` by retrying the RNG seed space.
-    fn neworder_in_district(sys: &mut TpccBionic, d: u64, seed: &mut u64) -> TxnBlock {
-        loop {
-            *seed += 1;
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            // Peek which district this seed draws (same sequence as
-            // submit_neworder: first draw is the district).
-            use rand::Rng;
-            let dd = rng.gen_range(0..sys.spec.districts_per_warehouse);
-            if dd != d {
-                continue;
-            }
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            let blk = sys
-                .machine
-                .alloc_block(0, TpccBionic::neworder_block_size());
-            sys.submit_neworder(0, blk, &mut rng);
-            sys.machine.run_to_quiescence_limit(1 << 27);
-            assert!(sys.machine.block_status(blk).is_committed());
-            return blk;
-        }
-    }
-
-    fn submit_delivery_in_district(sys: &mut TpccBionic, d: u64, seed: &mut u64) -> TxnBlock {
-        loop {
-            *seed += 1;
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            use rand::Rng;
-            let dd = rng.gen_range(0..sys.spec.districts_per_warehouse);
-            if dd != d {
-                continue;
-            }
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            let blk = sys
-                .machine
-                .alloc_block(0, TpccBionic::delivery_block_size());
-            sys.submit_delivery(0, blk, &mut rng);
-            sys.machine.run_to_quiescence_limit(1 << 27);
-            return blk;
-        }
-    }
-
-    #[test]
-    fn delivery_pops_the_oldest_order_and_credits_the_customer() {
-        let mut sys = tiny();
-        let mut seed = 1000u64;
-        let d = 3u64;
-        let no_blk = neworder_in_district(&mut sys, d, &mut seed);
-        let o_id = sys.machine.read_block_u64(no_blk, NO_O_ID_OUT);
-        let c_key = sys.machine.read_block_u64(no_blk, NO_C_KEY);
-        let tables = sys.tables;
-        let balance_before = {
-            let loader = sys.machine.loader(0);
-            let addr = loader
-                .lookup(tables.customer, &c_key.to_le_bytes())
-                .unwrap();
-            u64::from_le_bytes(
-                loader.payload(tables.customer, addr)[..8]
-                    .try_into()
-                    .unwrap(),
-            )
-        };
-
-        let dlv = submit_delivery_in_district(&mut sys, d, &mut seed);
-        assert_eq!(sys.machine.block_status(dlv), TxnStatus::Committed);
-        assert_eq!(sys.machine.read_block_u64(dlv, DLV_O_ID_OUT), o_id);
-        let amount = sys.machine.read_block_u64(dlv, DLV_AMOUNT_OUT);
-        assert!(amount > 0, "delivered order has a positive total");
-
-        // Customer credited by exactly the order-line total.
-        let loader = sys.machine.loader(0);
-        let addr = loader
-            .lookup(tables.customer, &c_key.to_le_bytes())
-            .unwrap();
-        let pay = loader.payload(tables.customer, addr);
-        let balance_after = u64::from_le_bytes(pay[..8].try_into().unwrap());
-        assert_eq!(balance_after, balance_before + amount);
-        let deliveries = u64::from_le_bytes(pay[24..32].try_into().unwrap());
-        assert_eq!(deliveries, 1);
-        // NEW-ORDER row removed (tombstoned).
-        let okey = order_key(0, d, o_id);
-        assert!(loader
-            .lookup(tables.new_orders, &okey.to_le_bytes())
-            .is_none());
-        // The ORDER row itself remains.
-        assert!(loader.lookup(tables.orders, &okey.to_le_bytes()).is_some());
-    }
-
-    #[test]
-    fn delivery_on_empty_district_commits_without_effects() {
-        let mut sys = tiny();
-        let mut seed = 5000u64;
-        let dlv = submit_delivery_in_district(&mut sys, 7, &mut seed);
-        assert_eq!(sys.machine.block_status(dlv), TxnStatus::Committed);
-        assert_eq!(
-            sys.machine.read_block_u64(dlv, DLV_O_ID_OUT),
-            0,
-            "queue empty"
-        );
-        // District stays clean and deliverable.
-        let tables = sys.tables;
-        let loader = sys.machine.loader(0);
-        let addr = loader
-            .lookup(tables.district, &district_key(0, 7).to_le_bytes())
-            .unwrap();
-        let pay = loader.payload(tables.district, addr);
-        assert_eq!(
-            u64::from_le_bytes(pay[24..32].try_into().unwrap()),
-            1,
-            "next_deliv untouched"
-        );
-    }
-
-    #[test]
-    fn deliveries_drain_a_district_in_order() {
-        let mut sys = tiny();
-        let mut seed = 9000u64;
-        let d = 1u64;
-        for _ in 0..3 {
-            neworder_in_district(&mut sys, d, &mut seed);
-        }
-        let mut delivered = Vec::new();
-        for _ in 0..4 {
-            let dlv = submit_delivery_in_district(&mut sys, d, &mut seed);
-            assert_eq!(sys.machine.block_status(dlv), TxnStatus::Committed);
-            delivered.push(sys.machine.read_block_u64(dlv, DLV_O_ID_OUT));
-        }
-        assert_eq!(delivered, vec![1, 2, 3, 0], "oldest-first, then empty");
-    }
-
-    #[test]
-    fn silo_delivery_matches_semantics() {
-        let sys = TpccSilo::build(TpccSpec::tiny(), 1);
-        let mut rng = SmallRng::seed_from_u64(17);
-        // Create some orders.
-        for _ in 0..6 {
-            assert!(sys.run_neworder(&mut NullTracer, &mut rng));
-        }
-        let mut delivered = 0;
-        let mut empties = 0;
-        for _ in 0..80 {
-            match sys.run_delivery(&mut NullTracer, &mut rng) {
-                Some(Some(_)) => delivered += 1,
-                Some(None) => empties += 1,
-                None => panic!("delivery aborted single-threaded"),
-            }
-        }
-        assert_eq!(delivered, 6, "every order eventually delivered");
-        assert!(empties > 0);
     }
 }

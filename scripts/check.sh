@@ -52,6 +52,9 @@ gate "perfbench unit tests (benchmark package, own workspace)" \
 gate "clippy (deny warnings)" \
     cargo clippy --workspace --all-targets --locked -- -D warnings
 
+gate "rustdoc (deny warnings: no dangling or private intra-doc links)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+
 gate "chaos smoke (fixed-seed fault matrix incl. fleet-barrier crash)" \
     cargo run --release --locked -p bionicdb-bench --bin chaos -- --smoke
 
