@@ -9,11 +9,14 @@
 //!
 //! `--chips N` switches to the *fleet* study: a 64–256-worker sweep where
 //! each simulated machine is split across N chip processes (the
-//! multi-process epoch engine, `Machine::set_fleet_chips`). Results go to
-//! `BENCH_scaleout.json` (override with `--out`), and full (non-`--quick`)
-//! runs append one row per sweep point to `results/bench_history.jsonl`
-//! so `benchdiff` tracks the scaling curve over time.
+//! multi-process epoch engine, `Machine::set_fleet_chips`); N must be at
+//! least 2 and divide 64, else the bin exits 2 with its usage line.
+//! Results go to `BENCH_scaleout.json` (override with `--out`), and full
+//! (non-`--quick`) runs append one row per sweep point to
+//! `results/bench_history.jsonl` so `benchdiff` tracks the scaling curve
+//! over time.
 
+use std::str::FromStr;
 use std::time::Instant;
 
 use bionicdb::{BionicConfig, ExecMode, Topology};
@@ -28,6 +31,26 @@ const SPEC: ArgSpec = ArgSpec {
     flags: &[],
     options: &["--chips", "--out", "--history"],
 };
+
+/// Worker counts of the `--chips` fleet study; the link-latency axis runs
+/// at the first.
+const FLEET_WORKERS: [usize; 3] = [64, 128, 256];
+
+/// A valid `--chips` value: at least 2 chip processes, dividing every
+/// fleet sweep size so each chip gets the same number of workers.
+#[derive(Debug, PartialEq)]
+struct Chips(usize);
+
+impl FromStr for Chips {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s.parse::<usize>() {
+            Ok(n) if n >= 2 && FLEET_WORKERS.iter().all(|w| w % n == 0) => Ok(Chips(n)),
+            _ => Err(()),
+        }
+    }
+}
 
 fn build(topology: Topology, remote_fraction: f64) -> YcsbBionic {
     let cfg = BionicConfig {
@@ -97,7 +120,7 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
     let mut json = format!("{{\n  \"bin\": \"scaleout-fleet\",\n  \"chips\": {chips},\n");
     let mut table = Vec::new();
     let mut points = Vec::new();
-    for workers in [64usize, 128, 256] {
+    for workers in FLEET_WORKERS {
         let mut y = build_fleet(workers, chips, 25);
         let wall = Instant::now();
         let t = bionic_ycsb_tput(&mut y, YcsbKind::ReadHomed, wave);
@@ -130,7 +153,7 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
     let mut hop_table = Vec::new();
     let mut hop_points = Vec::new();
     for hops in [8u64, 25, 100, 400] {
-        let mut y = build_fleet(64, chips, hops);
+        let mut y = build_fleet(FLEET_WORKERS[0], chips, hops);
         let wall = Instant::now();
         let t = bionic_ycsb_tput(&mut y, YcsbKind::ReadHomed, wave);
         let wall_secs = wall.elapsed().as_secs_f64();
@@ -190,9 +213,8 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
 
 fn main() {
     let args = BenchArgs::from_env(&SPEC);
-    if let Some(chips) = args.value("--chips") {
-        let chips: usize = chips.parse().expect("--chips takes a chip count");
-        assert!(chips > 1, "--chips needs at least 2 chips");
+    if args.value("--chips").is_some() {
+        let Chips(chips) = args.parsed("--chips", Chips(2));
         run_fleet_study(&args, chips);
         return;
     }
@@ -276,4 +298,26 @@ fn main() {
         &rows,
     );
     json.write();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chips(value: &str) -> Result<Chips, String> {
+        let argv = vec!["--chips".to_string(), value.to_string()];
+        BenchArgs::try_parse(argv, &SPEC)?.try_parsed("--chips", Chips(2))
+    }
+
+    #[test]
+    fn chips_must_parse_be_two_or_more_and_divide_the_sweep() {
+        for good in [2, 4, 8, 16, 32, 64] {
+            assert_eq!(chips(&good.to_string()), Ok(Chips(good)));
+        }
+        for bad in ["abc", "", "-2", "0", "1", "3", "6", "128"] {
+            let err = chips(bad).expect_err(bad);
+            assert!(err.contains("--chips"), "{err}");
+            assert!(err.contains(&SPEC.usage()), "{err}");
+        }
+    }
 }

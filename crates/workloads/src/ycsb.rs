@@ -102,7 +102,9 @@ pub struct YcsbBionic {
     pub spec: YcsbSpec,
     /// Hash table for point accesses.
     pub table: TableId,
-    /// Skiplist table for scans.
+    /// Skiplist table for scans. Empty until the first skiplist
+    /// transaction is submitted through `YcsbBionic` (see
+    /// [`YcsbBionic::build`]).
     pub scan_table: TableId,
     /// N local searches.
     pub read_local: ProcId,
@@ -110,20 +112,26 @@ pub struct YcsbBionic {
     pub read_homed: ProcId,
     /// N local updates (YCSB-A/B mixes).
     pub update_local: ProcId,
-    /// One scan of `scan_len` records.
+    /// One scan of `scan_len` records. Submit it through
+    /// [`YcsbBionic::submit_txn`], which loads `scan_table` first.
     pub scan: ProcId,
     /// Bulk KV insert (`kv_ops` inserts per transaction, Fig. 10a).
     pub kv_insert: ProcId,
     /// Bulk KV search (`kv_ops` searches per transaction, Fig. 10a).
     pub kv_search: ProcId,
-    /// Bulk skiplist insert (sequential loading, Fig. 11a).
+    /// Bulk skiplist insert (sequential loading, Fig. 11a). Submit it
+    /// through [`YcsbBionic::submit_skip_txn`], which loads `scan_table`
+    /// first.
     pub skip_insert: ProcId,
-    /// Bulk skiplist point query (Fig. 11b).
+    /// Bulk skiplist point query (Fig. 11b). Submit it through
+    /// [`YcsbBionic::submit_skip_txn`], which loads `scan_table` first.
     pub skip_search: ProcId,
     /// Operations per KV bulk transaction.
     pub kv_ops: usize,
     /// Per-worker counter for fresh KV-insert keys.
     insert_seq: Vec<u64>,
+    /// Whether `scan_table` holds its records yet.
+    scan_loaded: bool,
 }
 
 /// Build the N-search stored procedure (optionally with per-op homes).
@@ -266,9 +274,38 @@ pub fn build_scan_proc(table: TableId, scan_len: u32) -> bionicdb_softcore::Proc
     b.build().expect("scan proc")
 }
 
+/// Load keys `0..records_per_partition` into `table` on `worker`'s
+/// partition, in ascending order through one `Loader`. Each payload starts
+/// with its key (little-endian); `key_bytes` encodes the index key.
+fn load_records(
+    machine: &mut Machine,
+    worker: usize,
+    table: TableId,
+    spec: &YcsbSpec,
+    key_bytes: fn(u64) -> [u8; 8],
+) {
+    let mut loader = machine.loader(worker);
+    let mut payload = vec![0u8; spec.payload_len as usize];
+    for k in 0..spec.records_per_partition {
+        payload[..8].copy_from_slice(&k.to_le_bytes());
+        loader.insert(table, &key_bytes(k), &payload);
+    }
+}
+
 impl YcsbBionic {
-    /// Build the machine, load both tables on every partition, register the
-    /// procedures. `kv_ops` sizes the bulk KV transactions (paper: 60).
+    /// Build the machine, register both tables and the procedures, and load
+    /// the `ycsb` hash table on every partition. `kv_ops` sizes the bulk KV
+    /// transactions (paper: 60).
+    ///
+    /// The `ycsb_e` skiplist (`scan_table`) is loaded on first use: the
+    /// first [`submit_txn`](Self::submit_txn) of a [`YcsbKind::Scan`] or
+    /// [`submit_skip_txn`](Self::submit_skip_txn) loads it on every
+    /// partition with the same keys, payloads and addresses an eager load
+    /// writes, before that transaction's block is submitted. Host loads are
+    /// untimed, so no simulated number depends on when it happens; runs
+    /// that never touch the skiplist skip its cost. Code that submits
+    /// `scan`, `skip_insert` or `skip_search` through `machine` directly
+    /// must submit one skiplist transaction through `YcsbBionic` first.
     pub fn build(cfg: BionicConfig, spec: YcsbSpec, kv_ops: usize) -> Self {
         let buckets = spec
             .hash_buckets
@@ -294,16 +331,7 @@ impl YcsbBionic {
                     b.proc(build_read_proc(scan_table, kv_ops, false)),
                 )
             },
-            |machine, w, h| {
-                let (table, scan_table) = (h.0, h.1);
-                let mut loader = machine.loader(w);
-                let mut payload = vec![0u8; spec.payload_len as usize];
-                for k in 0..spec.records_per_partition {
-                    payload[..8].copy_from_slice(&k.to_le_bytes());
-                    loader.insert(table, &k.to_le_bytes(), &payload);
-                    loader.insert(scan_table, &k.to_be_bytes(), &payload);
-                }
-            },
+            |machine, w, h| load_records(machine, w, h.0, &spec, u64::to_le_bytes),
         );
         let workers = machine.num_workers();
         YcsbBionic {
@@ -321,6 +349,25 @@ impl YcsbBionic {
             skip_search: h.9,
             kv_ops,
             insert_seq: vec![0; workers],
+            scan_loaded: false,
+        }
+    }
+
+    /// Load `scan_table` on every partition unless it is loaded already
+    /// (skiplist keys are big-endian).
+    fn load_scan_table(&mut self) {
+        if self.scan_loaded {
+            return;
+        }
+        self.scan_loaded = true;
+        for w in 0..self.machine.num_workers() {
+            load_records(
+                &mut self.machine,
+                w,
+                self.scan_table,
+                &self.spec,
+                u64::to_be_bytes,
+            );
         }
     }
 
@@ -343,6 +390,7 @@ impl YcsbBionic {
     }
 
     /// Populate `blk` as a `kind` transaction for `worker` and submit it.
+    /// The first `Scan` loads `scan_table` (see [`YcsbBionic::build`]).
     pub fn submit_txn(&mut self, worker: usize, blk: TxnBlock, kind: YcsbKind, rng: &mut SmallRng) {
         let n_workers = self.machine.num_workers();
         match kind {
@@ -391,6 +439,7 @@ impl YcsbBionic {
                 }
             }
             YcsbKind::Scan => {
+                self.load_scan_table();
                 self.machine.init_block(blk, self.scan);
                 let max_start = self
                     .spec
@@ -462,6 +511,8 @@ impl YcsbBionic {
 
     /// Populate and submit a bulk *skiplist* transaction (Fig. 11a/11b:
     /// sequential loading / point query). Skiplist keys are big-endian.
+    /// The first skiplist transaction loads `scan_table` (see
+    /// [`YcsbBionic::build`]).
     pub fn submit_skip_txn(
         &mut self,
         worker: usize,
@@ -480,6 +531,9 @@ impl YcsbBionic {
         skiplist: bool,
         rng: &mut SmallRng,
     ) {
+        if skiplist {
+            self.load_scan_table();
+        }
         let ops = self.kv_ops;
         let proc = match (skiplist, insert) {
             (false, true) => self.kv_insert,

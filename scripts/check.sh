@@ -37,6 +37,20 @@ gate() {
     GATE_SECS+=("$((SECONDS - t0))")
 }
 
+# Fully simulated result files are regenerated here, never in place, and
+# must equal the committed copy byte for byte. To re-capture on purpose,
+# copy the regenerated file over the committed one (as with goldens).
+FRESH=target/check
+mkdir -p "$FRESH"
+
+same_as_committed() {
+    local file="$1"
+    if ! cmp "$file" "$FRESH/$file" >&2; then
+        echo "$file: regenerated output differs from the committed file (new copy: $FRESH/$file)" >&2
+        return 1
+    fi
+}
+
 gate "build (release, locked)" \
     cargo build --workspace --release --locked
 
@@ -62,10 +76,16 @@ gate "goldencheck (fixed-seed goldens + strict/fast-forward/threaded/fleet byte-
     cargo run --release --locked -p bionicdb-bench --bin goldencheck
 
 gate "saturate (graceful-degradation claim: controlled >= 85% of peak at 2x, baseline < 50%)" \
-    cargo run --release --locked -p bionicdb-bench --bin saturate -- --quick --json BENCH_serve.json
+    cargo run --release --locked -p bionicdb-bench --bin saturate -- --quick --json "$FRESH/BENCH_serve.json"
+
+gate "BENCH_serve.json unchanged (the saturate model run is fully simulated)" \
+    same_as_committed BENCH_serve.json
 
 gate "saturate --engine hw (open-loop serving on the cycle-accurate machine: graceful degradation + batched admission beats unbatched on chained-hash ycsb_c)" \
-    cargo run --release --locked -p bionicdb-bench --bin saturate -- --quick --engine hw --json BENCH_serve_hw.json
+    cargo run --release --locked -p bionicdb-bench --bin saturate -- --quick --engine hw --json "$FRESH/BENCH_serve_hw.json"
+
+gate "BENCH_serve_hw.json unchanged (the saturate hw run is fully simulated)" \
+    same_as_committed BENCH_serve_hw.json
 
 gate "parsim full study (append results/bench_history.jsonl)" \
     cargo run --release --locked -p bionicdb-bench --bin simperf -- --par --out BENCH_parsim.json

@@ -11,9 +11,16 @@
 //! 3. The `Loader`'s image equals, byte for byte, the image of a reference
 //!    writer kept here: a walk from the head per key and one host write
 //!    per field.
+//! 4. YCSB's `ycsb_e` skiplist, loaded at the first skiplist submission,
+//!    leaves the same DRAM image and record addresses as loading it at
+//!    build time beside the hash table, key by key; a run that never
+//!    submits a skiplist transaction leaves it empty.
 
 use bionicdb::storage::{Partition, LOAD_TS};
-use bionicdb::{BionicConfig, Catalogue, IndexKey, Loader, PartitionId, SystemBuilder, TableMeta};
+use bionicdb::{
+    BionicConfig, BlockStatus, Catalogue, IndexKey, Loader, Machine, PartitionId, ProcId,
+    SystemBuilder, TableMeta, TxnBlock,
+};
 use bionicdb_coproc::layout::{
     read_header, RecordHeader, TableState, TOWER_HEIGHT, TOWER_NEXTS, TUPLE_HEADER, TUPLE_NEXT,
     TUPLE_PAYLOAD,
@@ -24,6 +31,10 @@ use bionicdb_fpga::{Dram, FpgaConfig, Region};
 use bionicdb_softcore::builder::ProcBuilder;
 use bionicdb_softcore::catalogue::IndexKind;
 use bionicdb_softcore::isa::{MemBase, Operand};
+use bionicdb_workloads::ycsb::{
+    build_kv_insert_proc, build_read_proc, build_scan_proc, build_update_proc, YcsbBionic, YcsbKind,
+};
+use bionicdb_workloads::YcsbSpec;
 use proptest::prelude::*;
 
 /// Build a machine with one hash + one skiplist table and per-kind insert
@@ -355,5 +366,171 @@ proptest! {
             prop_assert!(false, "images differ first at byte {at}");
         }
         prop_assert_eq!(dram.image_digest(), ref_dram.image_digest());
+    }
+}
+
+/// Partitions of the YCSB checks: more than one, so a load that skipped a
+/// partition shows.
+const YCSB_WORKERS: usize = 3;
+
+/// Operations per bulk KV transaction in the YCSB checks.
+const YCSB_KV_OPS: usize = 6;
+
+/// The skiplist submissions of `YcsbBionic`: a scan, a bulk insert and a
+/// bulk search.
+#[derive(Debug, Clone, Copy)]
+enum SkipTxn {
+    Scan,
+    Insert,
+    Search,
+}
+
+/// A YCSB machine whose `ycsb_e` skiplist is loaded at build time: the
+/// tables and procedures `YcsbBionic::build` registers, in its order, then
+/// per key the hash insert and the skiplist insert through one `Loader`
+/// per partition. Returns the machine and the skiplist procedure of `txn`.
+fn eager_ycsb(spec: &YcsbSpec, txn: SkipTxn) -> (Machine, ProcId) {
+    let buckets = (spec.records_per_partition * 2).next_power_of_two();
+    let mut b = SystemBuilder::new(BionicConfig::small(YCSB_WORKERS));
+    let table = b.table(TableMeta::hash("ycsb", 8, spec.payload_len, buckets));
+    let skip = b.table(TableMeta::skiplist("ycsb_e", 8, spec.payload_len));
+    b.proc(build_read_proc(table, spec.ops_per_txn, false));
+    b.proc(build_read_proc(table, spec.ops_per_txn, true));
+    b.proc(build_update_proc(table, spec.ops_per_txn));
+    let scan = b.proc(build_scan_proc(skip, spec.scan_len));
+    b.proc(build_kv_insert_proc(
+        table,
+        YCSB_KV_OPS,
+        (TUPLE_HEADER + 16) as i64,
+    ));
+    b.proc(build_read_proc(table, YCSB_KV_OPS, false));
+    let skip_insert = b.proc(build_kv_insert_proc(skip, YCSB_KV_OPS, 16));
+    let skip_search = b.proc(build_read_proc(skip, YCSB_KV_OPS, false));
+    let mut m = b.build();
+    for w in 0..YCSB_WORKERS {
+        let mut loader = m.loader(w);
+        let mut payload = vec![0u8; spec.payload_len as usize];
+        for k in 0..spec.records_per_partition {
+            payload[..8].copy_from_slice(&k.to_le_bytes());
+            loader.insert(table, &k.to_le_bytes(), &payload);
+            loader.insert(skip, &k.to_be_bytes(), &payload);
+        }
+    }
+    let proc = match txn {
+        SkipTxn::Scan => scan,
+        SkipTxn::Insert => skip_insert,
+        SkipTxn::Search => skip_search,
+    };
+    (m, proc)
+}
+
+/// Submit one `txn` on `y` for `worker`, then the same block on the eager
+/// machine `r`: the user bytes `y` wrote are copied over, and nothing else,
+/// so both images carry the same block.
+fn submit_both(
+    y: &mut YcsbBionic,
+    r: &mut Machine,
+    proc: ProcId,
+    txn: SkipTxn,
+    worker: usize,
+    rng: &mut rand::rngs::SmallRng,
+) -> (TxnBlock, TxnBlock) {
+    let (size, written) = match txn {
+        SkipTxn::Scan => (y.block_size(YcsbKind::Scan), vec![(0, 8)]),
+        SkipTxn::Insert | SkipTxn::Search => {
+            let keys = 8 * YCSB_KV_OPS as u64;
+            let mut written = vec![(0, keys)];
+            if matches!(txn, SkipTxn::Insert) {
+                written.push((keys, y.spec.payload_len as u64));
+            }
+            (y.kv_block_size(YCSB_KV_OPS), written)
+        }
+    };
+    let blk = y.machine.alloc_block(worker, size);
+    match txn {
+        SkipTxn::Scan => y.submit_txn(worker, blk, YcsbKind::Scan, rng),
+        SkipTxn::Insert => y.submit_skip_txn(worker, blk, true, rng),
+        SkipTxn::Search => y.submit_skip_txn(worker, blk, false, rng),
+    }
+    let rblk = r.alloc_block(worker, size);
+    r.init_block(rblk, proc);
+    for (off, len) in written {
+        r.write_block(rblk, off, &y.machine.read_block(blk, off, len));
+    }
+    r.submit(worker, rblk);
+    (blk, rblk)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn deferred_skiplist_load_matches_the_eager_load(
+        txn in prop_oneof![Just(SkipTxn::Scan), Just(SkipTxn::Insert), Just(SkipTxn::Search)],
+        worker in 0..YCSB_WORKERS,
+        seed in any::<u64>(),
+    ) {
+        let spec = YcsbSpec { records_per_partition: 500, ..YcsbSpec::tiny() };
+        let mut y = YcsbBionic::build(BionicConfig::small(YCSB_WORKERS), spec.clone(), YCSB_KV_OPS);
+        let (mut r, proc) = eager_ycsb(&spec, txn);
+        let mut rng = YcsbBionic::rng(seed);
+
+        let first = submit_both(&mut y, &mut r, proc, txn, worker, &mut rng);
+        prop_assert_eq!(y.machine.dram().image_digest(), r.dram().image_digest());
+        for w in 0..YCSB_WORKERS {
+            for k in 0..spec.records_per_partition {
+                for (table, key) in [(y.table, k.to_le_bytes()), (y.scan_table, k.to_be_bytes())] {
+                    let got = y.machine.loader(w).lookup(table, &key);
+                    prop_assert!(got.is_some(), "worker {} key {} table {:?}", w, k, table);
+                    prop_assert_eq!(got, r.loader(w).lookup(table, &key));
+                }
+            }
+        }
+
+        // The load runs once: a second skiplist transaction loads nothing.
+        let second = submit_both(&mut y, &mut r, proc, txn, (worker + 1) % YCSB_WORKERS, &mut rng);
+        y.machine.run_to_quiescence();
+        r.run_to_quiescence();
+        for (blk, rblk) in [first, second] {
+            prop_assert!(y.machine.block_status(blk).is_committed());
+            prop_assert!(r.block_status(rblk).is_committed());
+        }
+        prop_assert_eq!(y.machine.dram().image_digest(), r.dram().image_digest());
+        prop_assert_eq!(y.machine.report().to_json(), r.report().to_json());
+    }
+}
+
+#[test]
+fn point_reads_leave_the_skiplist_unloaded() {
+    let mut y = YcsbBionic::build(
+        BionicConfig::small(YCSB_WORKERS),
+        YcsbSpec::tiny(),
+        YCSB_KV_OPS,
+    );
+    let mut rng = YcsbBionic::rng(9);
+    let size = y.block_size(YcsbKind::ReadHomed);
+    let blocks: Vec<(usize, TxnBlock)> = (0..YCSB_WORKERS)
+        .flat_map(|w| (0..4).map(move |_| w))
+        .map(|w| (w, y.machine.alloc_block(w, size)))
+        .collect();
+    for &(w, blk) in &blocks {
+        y.submit_txn(w, blk, YcsbKind::ReadHomed, &mut rng);
+    }
+    y.machine.run_to_quiescence();
+    for &(_, blk) in &blocks {
+        assert!(y.machine.block_status(blk).is_committed());
+    }
+    for w in 0..YCSB_WORKERS {
+        let state = &y.machine.partition(w).tables[y.scan_table.0 as usize];
+        for level in 0..state.max_level {
+            assert_eq!(
+                y.machine.dram().host_read_u64(state.head_next_addr(level)),
+                0,
+                "worker {w} level {level}"
+            );
+        }
+        let loader = y.machine.loader(w);
+        assert!(loader.lookup(y.table, &0u64.to_le_bytes()).is_some());
+        assert!(loader.lookup(y.scan_table, &0u64.to_be_bytes()).is_none());
     }
 }
