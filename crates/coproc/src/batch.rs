@@ -136,9 +136,13 @@ pub struct BatchEngine {
     /// Cycle at which `pending` last became non-empty (age flush).
     pending_since: u64,
     active: Option<Batch>,
-    /// One read per distinct node address per wave; the context fans the
-    /// response out to every probe that wanted that node.
-    reader: AsyncReader<Vec<u32>>,
+    /// One read per distinct node address per wave; the context is the
+    /// mask of probe indices (bit `i` = probe `i`, `width <= 64`) the
+    /// response fans out to.
+    reader: AsyncReader<u64>,
+    /// The current wave's `(addr, len, probe)` fetches, reused across
+    /// waves.
+    wants: Vec<(u64, u32, u32)>,
     /// Completed responses, drained by the coprocessor facade.
     out: VecDeque<DbResponse>,
     stats: BatchStats,
@@ -156,6 +160,7 @@ impl BatchEngine {
             pending_since: 0,
             active: None,
             reader: AsyncReader::new(dram, width),
+            wants: Vec::with_capacity(width),
             out: VecDeque::new(),
             stats: BatchStats::default(),
             stage: StageStats::default(),
@@ -232,10 +237,11 @@ impl BatchEngine {
         // Resolve completed reads; fan each response out to every probe
         // that piggybacked on the fetch, in probe-index (= admission)
         // order so CC side effects are deterministic.
-        while let Some((idxs, data)) = self.reader.pop_ready() {
+        while let Some((mut probes, data)) = self.reader.pop_ready() {
             progressed = true;
-            for idx in idxs {
-                self.resolve(idx as usize, &data, dram, tables);
+            while probes != 0 {
+                self.resolve(probes.trailing_zeros() as usize, &data, dram, tables);
+                probes &= probes - 1;
             }
         }
 
@@ -421,7 +427,8 @@ impl BatchEngine {
                 return false;
             }
         }
-        let mut wants: Vec<(u64, u32, u32)> = Vec::new();
+        let wants = &mut self.wants;
+        wants.clear();
         for (i, p) in b.probes.iter().enumerate() {
             let t = &tables[p.req.table.0 as usize];
             let want = match p.state {
@@ -444,23 +451,24 @@ impl BatchEngine {
         let mut i = 0;
         while i < wants.len() {
             let (addr, len, _) = wants[i];
-            let mut idxs = Vec::new();
+            let mut probes = 0u64;
             while i < wants.len() && wants[i].0 == addr && wants[i].1 == len {
-                idxs.push(wants[i].2);
+                probes |= 1 << wants[i].2;
                 i += 1;
             }
             if !self.reader.can_issue() {
                 break;
             }
-            let mark = idxs.clone();
-            if self.reader.issue(now, dram, addr, len, idxs).is_err() {
+            if self.reader.issue(now, dram, addr, len, probes).is_err() {
                 break; // controller busy: retry the rest next cycle
             }
             self.stats.reads += 1;
-            self.stats.dedup_saved += mark.len() as u64 - 1;
+            self.stats.dedup_saved += u64::from(probes.count_ones()) - 1;
             progressed = true;
-            for &pi in &mark {
-                let p = &mut b.probes[pi as usize];
+            let mut mark = probes;
+            while mark != 0 {
+                let p = &mut b.probes[mark.trailing_zeros() as usize];
+                mark &= mark - 1;
                 p.state = match p.state {
                     PState::NeedKey => PState::WaitKey,
                     PState::NeedHead => PState::WaitHead,

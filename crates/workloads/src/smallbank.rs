@@ -514,7 +514,7 @@ impl SmallBankBionic {
         let mut total = 0u64;
         let accounts = self.spec.accounts_per_partition;
         for w in 0..self.machine.num_workers() {
-            let loader = self.machine.loader(w);
+            let mut loader = self.machine.loader(w);
             for table in [self.savings, self.checking] {
                 for k in 0..accounts {
                     let addr = loader

@@ -41,6 +41,7 @@ use bionicdb::{
 use bionicdb_softcore::isa::{AluOp, Cond, Cp, MemBase, Operand};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 use crate::abi::assemble;
 use crate::abi::procs::{
@@ -150,7 +151,7 @@ const PAY_H_PAY: u64 = 48; // 32 B host-prewritten
 pub const PAY_USER_SIZE: u64 = PAY_H_PAY + HISTORY_PAYLOAD as u64;
 
 /// Table handles of the TPC-C schema.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpccTables {
     /// WAREHOUSE.
     pub warehouse: TableId,
@@ -622,6 +623,31 @@ pub fn build_payment_proc(t: &TpccTables, local_only: bool) -> bionicdb_softcore
     b.build().expect("payment proc")
 }
 
+/// NewOrder, Payment, local-only NewOrder and local-only Payment for
+/// `tables`, assembled once per process and cloned for every build, as a
+/// client uploads procedures it compiled once (paper §4.2). Every
+/// [`TpccBionic::build`] calls [`register_tables`] first on a fresh
+/// builder, so the table ids, and therefore the procedures, never change.
+fn procedures(tables: &TpccTables) -> [bionicdb_softcore::Procedure; 4] {
+    static PROCEDURES: OnceLock<(TpccTables, [bionicdb_softcore::Procedure; 4])> = OnceLock::new();
+    let (built_for, procs) = PROCEDURES.get_or_init(|| {
+        (
+            *tables,
+            [
+                build_neworder_proc(tables, false),
+                build_payment_proc(tables, false),
+                build_neworder_proc(tables, true),
+                build_payment_proc(tables, true),
+            ],
+        )
+    });
+    assert_eq!(
+        built_for, tables,
+        "the TPC-C procedures were assembled for other table ids"
+    );
+    procs.clone()
+}
+
 // ---------------------------------------------------------------------------
 // The assembled TPC-C system on BionicDB
 // ---------------------------------------------------------------------------
@@ -655,12 +681,13 @@ impl TpccBionic {
             cfg,
             |b| {
                 let tables = register_tables(b, &spec);
+                let [neworder, payment, neworder_local, payment_local] = procedures(&tables);
                 (
                     tables,
-                    b.proc(build_neworder_proc(&tables, false)),
-                    b.proc(build_payment_proc(&tables, false)),
-                    b.proc(build_neworder_proc(&tables, true)),
-                    b.proc(build_payment_proc(&tables, true)),
+                    b.proc(neworder),
+                    b.proc(payment),
+                    b.proc(neworder_local),
+                    b.proc(payment_local),
                 )
             },
             |machine, w, h| {
@@ -682,7 +709,7 @@ impl TpccBionic {
                     );
                     for c in 0..spec.customers_per_district {
                         let key = customer_key(wid, d, c);
-                        let mut pay = vec![0u8; CUSTOMER_PAYLOAD as usize];
+                        let mut pay = [0u8; CUSTOMER_PAYLOAD as usize];
                         pay[..8].copy_from_slice(&(100_000u64).to_le_bytes()); // balance
                         loader.insert(tables.customer, &key.to_le_bytes(), &pay);
                     }
@@ -837,12 +864,20 @@ fn distinct_items(rng: &mut SmallRng, items: u64, n: usize) -> Vec<u64> {
     out
 }
 
-fn pack32(v: &[u64; 4]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+fn pack32(v: &[u64; 4]) -> [u8; 32] {
+    let mut out = [0; 32];
+    for (b, x) in out.chunks_exact_mut(8).zip(v) {
+        b.copy_from_slice(&x.to_le_bytes());
+    }
+    out
 }
 
-fn pack16(v: &[u64; 2]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+fn pack16(v: &[u64; 2]) -> [u8; 16] {
+    let mut out = [0; 16];
+    for (b, x) in out.chunks_exact_mut(8).zip(v) {
+        b.copy_from_slice(&x.to_le_bytes());
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -906,12 +941,12 @@ impl TpccSilo {
             TableDef::new("history", h(1 << 16), HISTORY_PAYLOAD as usize),
         ]);
         for w in 0..warehouses {
-            db.load(silo_tables::WAREHOUSE, w, pack32(&[0, 80, 0, 0]));
+            db.load(silo_tables::WAREHOUSE, w, pack32(&[0, 80, 0, 0]).to_vec());
             for d in 0..spec.districts_per_warehouse {
                 db.load(
                     silo_tables::DISTRICT,
                     district_key(w, d),
-                    pack32(&[1, 0, 90, 1]),
+                    pack32(&[1, 0, 90, 1]).to_vec(),
                 );
                 for c in 0..spec.customers_per_district {
                     let mut pay = vec![0u8; CUSTOMER_PAYLOAD as usize];
@@ -921,9 +956,13 @@ impl TpccSilo {
             }
             for i in 0..spec.items {
                 if w == 0 {
-                    db.load(silo_tables::ITEM, i, pack16(&[(i % 100) + 1, 0]));
+                    db.load(silo_tables::ITEM, i, pack16(&[(i % 100) + 1, 0]).to_vec());
                 }
-                db.load(silo_tables::STOCK, stock_key(w, i), pack32(&[50, 0, 0, 0]));
+                db.load(
+                    silo_tables::STOCK,
+                    stock_key(w, i),
+                    pack32(&[50, 0, 0, 0]).to_vec(),
+                );
             }
         }
         TpccSilo {
@@ -968,7 +1007,7 @@ impl TpccSilo {
         txn.insert(
             ORDERS,
             order_key(w, d, o_id),
-            pack32(&[customer_key(w, d, c), ol_cnt, 0, 0]),
+            pack32(&[customer_key(w, d, c), ol_cnt, 0, 0]).to_vec(),
         );
         txn.insert(
             NEW_ORDERS,
@@ -999,7 +1038,7 @@ impl TpccSilo {
             txn.insert(
                 ORDER_LINE,
                 orderline_key(w, d, o_id, i),
-                pack32(&[item, qty, price * qty, w]),
+                pack32(&[item, qty, price * qty, w]).to_vec(),
             );
         }
         txn.commit(tr).is_ok()
@@ -1035,7 +1074,7 @@ impl TpccSilo {
         txn.insert(
             HISTORY,
             (w << 40) | seq,
-            pack32(&[customer_key(w, d, c), amount, 0, 0]),
+            pack32(&[customer_key(w, d, c), amount, 0, 0]).to_vec(),
         );
         txn.commit(tr).is_ok()
     }
@@ -1054,12 +1093,30 @@ fn sub_u64(p: &mut [u8], off: usize, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bionicdb::{BlockStatus, RetryBudget, TxnStatus};
+    use bionicdb::{BlockStatus, Catalogue, RetryBudget, TxnStatus};
     use bionicdb_cpu_model::NullTracer;
     use rand::SeedableRng;
 
     fn tiny() -> TpccBionic {
         TpccBionic::build(BionicConfig::small(2), TpccSpec::tiny())
+    }
+
+    #[test]
+    fn memoized_procedures_equal_freshly_assembled_ones() {
+        let mut b = SystemBuilder::new(BionicConfig::small(1));
+        let t = register_tables(&mut b, &TpccSpec::tiny());
+        let fresh = [
+            build_neworder_proc(&t, false),
+            build_payment_proc(&t, false),
+            build_neworder_proc(&t, true),
+            build_payment_proc(&t, true),
+        ];
+        // The second call clones what the first one assembled.
+        for _ in 0..2 {
+            for (memo, fresh) in procedures(&t).iter().zip(&fresh) {
+                assert_eq!(Catalogue::encode_proc(memo), Catalogue::encode_proc(fresh));
+            }
+        }
     }
 
     #[test]
@@ -1089,7 +1146,7 @@ mod tests {
         let d_key_raw = sys.machine.read_block_u64(blk, NO_D_KEY);
         let okey = sys.machine.read_block_u64(blk, NO_OKEY_BUF);
         let tables = sys.tables;
-        let loader = sys.machine.loader(0);
+        let mut loader = sys.machine.loader(0);
         let oaddr = loader
             .lookup(tables.orders, &okey.to_le_bytes())
             .expect("order row");
@@ -1114,6 +1171,7 @@ mod tests {
                 "order line {i}"
             );
         }
+        drop(loader);
         // The committed rows are clean (not dirty).
         let hdr = bionicdb_coproc::layout::read_header(
             sys.machine.dram(),
@@ -1134,7 +1192,7 @@ mod tests {
         let amount = sys.machine.read_block_u64(blk, PAY_AMOUNT);
         let w_key = sys.machine.read_block_u64(blk, PAY_W_KEY);
         let tables = sys.tables;
-        let loader = sys.machine.loader(1);
+        let mut loader = sys.machine.loader(1);
         let waddr = loader
             .lookup(tables.warehouse, &w_key.to_le_bytes())
             .unwrap();
@@ -1164,7 +1222,7 @@ mod tests {
         let c_key = sys.machine.read_block_u64(blk, PAY_C_KEY);
         let amount = sys.machine.read_block_u64(blk, PAY_AMOUNT);
         let tables = sys.tables;
-        let loader = sys.machine.loader(1);
+        let mut loader = sys.machine.loader(1);
         let caddr = loader
             .lookup(tables.customer, &c_key.to_le_bytes())
             .unwrap();
@@ -1249,7 +1307,7 @@ mod tests {
         let mut advanced = 0;
         for w in 0..2u64 {
             for d in 0..sys.spec.districts_per_warehouse {
-                let loader = sys.machine.loader(w as usize);
+                let mut loader = sys.machine.loader(w as usize);
                 let daddr = loader
                     .lookup(tables.district, &district_key(w, d).to_le_bytes())
                     .unwrap();

@@ -91,7 +91,10 @@ gate "parsim full study (append results/bench_history.jsonl)" \
     cargo run --release --locked -p bionicdb-bench --bin simperf -- --par --out BENCH_parsim.json
 
 gate "batchsweep full study (2x-at-width-8 assertion, append history)" \
-    cargo run --release --locked -p bionicdb-bench --bin batchsweep -- --out BENCH_batch.json
+    cargo run --release --locked -p bionicdb-bench --bin batchsweep -- --out "$FRESH/BENCH_batch.json"
+
+gate "BENCH_batch.json unchanged (the batchsweep study is fully simulated)" \
+    same_as_committed BENCH_batch.json
 
 gate "benchdiff (gate vs recorded baseline)" \
     cargo run --release --locked -p bionicdb-bench --bin benchdiff

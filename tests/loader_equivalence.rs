@@ -11,7 +11,11 @@
 //! 3. The `Loader`'s image equals, byte for byte, the image of a reference
 //!    writer kept here: a walk from the head per key and one host write
 //!    per field.
-//! 4. YCSB's `ycsb_e` skiplist, loaded at the first skiplist submission,
+//! 4. Staged hash loads — inserts interleaved across tables, lookups and
+//!    payload reads in the middle of a load, a new `Loader` over buckets
+//!    an earlier one filled — return the same addresses and leave the
+//!    same image as writing each record as it is inserted.
+//! 5. YCSB's `ycsb_e` skiplist, loaded at the first skiplist submission,
 //!    leaves the same DRAM image and record addresses as loading it at
 //!    build time beside the hash table, key by key; a run that never
 //!    submits a skiplist transaction leaves it empty.
@@ -220,6 +224,7 @@ proptest! {
             .iter()
             .map(|(t, k)| loader.insert(*t, k, &[k[0]; 16]))
             .collect();
+        drop(loader);
         let fresh_addrs: Vec<u64> = ops
             .iter()
             .map(|(t, k)| fresh.loader(0).insert(*t, k, &[k[0]; 16]))
@@ -358,6 +363,95 @@ proptest! {
                 let got = loader.insert(bionicdb::TableId(t as u8), &key, &payload);
                 let want = reference_insert(&mut ref_dram, &mut ref_part.tables[t], &key, &payload);
                 prop_assert_eq!(got, want);
+            }
+        }
+        drop(loader);
+        let (image, reference) = (dram.host_read(0, REF_DRAM as usize), ref_dram.host_read(0, REF_DRAM as usize));
+        if let Some(at) = (0..image.len()).find(|&i| image[i] != reference[i]) {
+            prop_assert!(false, "images differ first at byte {at}");
+        }
+        prop_assert_eq!(dram.image_digest(), ref_dram.image_digest());
+    }
+}
+
+/// A bare DRAM plus one partition of three hash tables. Tuples of 85, 112
+/// and 180 bytes: the first leaves alignment gaps between tuples, the
+/// last two make runs of tuples that cross frames. Only the first
+/// directory starts on a frame boundary, and the last spans several
+/// frames.
+fn hash_partition() -> (Dram, Partition) {
+    let mut cat = Catalogue::new();
+    for (name, len, buckets) in [("a", 13, 1 << 5), ("b", 40, 1 << 3), ("c", 108, 1 << 8)] {
+        cat.register_table(TableMeta::hash(name, 8, len, buckets))
+            .unwrap();
+    }
+    let part = Partition::build(
+        PartitionId(0),
+        &cat,
+        Region::new(1 << 20, 3 << 20),
+        Region::new(64 << 10, 64 << 10),
+        REF_MAX_LEVEL,
+    );
+    (Dram::new(&FpgaConfig::default(), REF_DRAM), part)
+}
+
+/// One step of a staged hash load.
+#[derive(Debug, Clone, Copy)]
+enum HashStep {
+    /// Insert `key` into a table.
+    Insert(u8, u64),
+    /// Look `key` up in a table and read the payload found.
+    Lookup(u8, u64),
+    /// Drop the loader and start a new one over the same partition.
+    Reload,
+}
+
+/// Mostly inserts; about one step in eight a lookup, one in sixteen a
+/// reload.
+fn hash_step() -> impl Strategy<Value = HashStep> {
+    (0u8..16, 0u8..3, 0u64..200).prop_map(|(pick, t, k)| match pick {
+        0 => HashStep::Reload,
+        1 | 2 => HashStep::Lookup(t, k),
+        _ => HashStep::Insert(t, k),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn staged_hash_loads_match_per_record_writes(
+        steps in proptest::collection::vec(hash_step(), 1..400),
+    ) {
+        let (mut dram, mut part) = hash_partition();
+        let (mut ref_dram, mut ref_part) = hash_partition();
+        let payload = |t: u8, k: u64, len: u32| -> Vec<u8> {
+            (0..len).map(|i| (k as u8).wrapping_mul(7) ^ t ^ i as u8).collect()
+        };
+        let mut loader = Loader::new(&mut dram, &mut part);
+        for step in steps {
+            match step {
+                HashStep::Insert(t, k) => {
+                    let state = &mut ref_part.tables[t as usize];
+                    let p = payload(t, k, state.meta.payload_len);
+                    let want = reference_insert(&mut ref_dram, state, &k.to_le_bytes(), &p);
+                    let got = loader.insert(bionicdb::TableId(t), &k.to_le_bytes(), &p);
+                    prop_assert_eq!(got, want, "insert {} into table {}", k, t);
+                }
+                HashStep::Lookup(t, k) => {
+                    let table = bionicdb::TableId(t);
+                    let got = loader.lookup(table, &k.to_le_bytes());
+                    let mut reference = Loader::new(&mut ref_dram, &mut ref_part);
+                    prop_assert_eq!(got, reference.lookup(table, &k.to_le_bytes()));
+                    if let Some(addr) = got {
+                        prop_assert_eq!(loader.payload(table, addr), reference.payload(table, addr));
+                    }
+                }
+                HashStep::Reload => {
+                    drop(loader);
+                    prop_assert_eq!(dram.image_digest(), ref_dram.image_digest());
+                    loader = Loader::new(&mut dram, &mut part);
+                }
             }
         }
         drop(loader);
@@ -529,7 +623,7 @@ fn point_reads_leave_the_skiplist_unloaded() {
                 "worker {w} level {level}"
             );
         }
-        let loader = y.machine.loader(w);
+        let mut loader = y.machine.loader(w);
         assert!(loader.lookup(y.table, &0u64.to_le_bytes()).is_some());
         assert!(loader.lookup(y.scan_table, &0u64.to_be_bytes()).is_none());
     }
