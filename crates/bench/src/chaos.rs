@@ -200,9 +200,9 @@ impl Sys {
                 let proc = b.proc(assemble(TRANSFER).expect("transfer assembles"));
                 let mut db = b.build();
                 for w in 0..MULTISITE_WORKERS {
+                    let mut loader = db.loader(w);
                     for k in 0..MULTISITE_ACCOUNTS {
-                        db.loader(w)
-                            .insert(table, &k.to_le_bytes(), &MULTISITE_BALANCE.to_le_bytes());
+                        loader.insert(table, &k.to_le_bytes(), &MULTISITE_BALANCE.to_le_bytes());
                     }
                 }
                 Sys::Multisite { db, table, proc }
