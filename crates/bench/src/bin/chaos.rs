@@ -3,12 +3,12 @@
 //!
 //! `--smoke` runs one crash, one torn-tail crash, and one NoC-drop
 //! scenario per workload with fixed seeds, plus one crash landing inside
-//! a fleet barrier round (the multi-process engine). Without flags a
+//! a threaded barrier round (the epoch-parallel engine). Without flags a
 //! small seeded sweep of random crash points runs on top. Every scenario
 //! asserts its own properties (see `bionicdb_bench::chaos`); the binary
 //! exits nonzero on the first violation.
 
-use bionicdb_bench::chaos::{run_crash, run_fleet_crash, run_noc_drop, ChaosWorkload};
+use bionicdb_bench::chaos::{run_crash, run_noc_drop, run_threaded_crash, ChaosWorkload};
 use bionicdb_bench::json::JsonOut;
 use bionicdb_bench::{ArgSpec, BenchArgs};
 
@@ -30,20 +30,19 @@ fn main() {
     let mut json = JsonOut::from_env("chaos");
     let mut scenarios = 0u64;
 
-    // Crash inside a *fleet* barrier round: the crash run executes on the
-    // multi-process engine (2 chip processes), the clean twin and the
-    // recovery replays stay in-process, so the committed-prefix contract
-    // is checked straight across the process boundary. This must run
-    // before any scenario spawns threads — the fleet forks.
-    let r = run_fleet_crash(ChaosWorkload::Ycsb, 500, false, 0xC4A5, 2);
+    // Crash inside a *threaded* barrier round: the crash run executes on
+    // the epoch-parallel engine (2 sim threads), the clean twin and the
+    // recovery replays stay serial, so the committed-prefix contract is
+    // checked straight across the two schedulers.
+    let r = run_threaded_crash(ChaosWorkload::Ycsb, 500, false, 0xC4A5, 2);
     println!(
-        "PASS fleet-crash Ycsb: crashed@{} with {}/{} committed, salvaged {}",
+        "PASS thread-crash Ycsb: crashed@{} with {}/{} committed, salvaged {}",
         r.crash_cycle.unwrap(),
         r.committed_at_crash,
         r.total_txns,
         r.salvaged
     );
-    json.value_row("fleet_crash_Ycsb_committed", r.committed_at_crash as f64);
+    json.value_row("thread_crash_Ycsb_committed", r.committed_at_crash as f64);
     scenarios += 1;
 
     for w in WORKLOADS {

@@ -3,7 +3,7 @@
 //!
 //! | check      | golden file             | also asserts |
 //! |------------|-------------------------|--------------|
-//! | `fleet`    | —                       | 2-chip fleet ≡ in-process report: YCSB and SmallBank preloaded, YCSB streamed |
+//! | `threads`  | —                       | 2 sim threads ≡ serial fast-forward report: YCSB and SmallBank preloaded, YCSB streamed |
 //! | `workload` | `workload_goldens.json` | SmallBank strict ≡ fast-forward ≡ epoch-parallel ≡ rerun; chaos crash recovery and NoC drops |
 //! | `serve`    | `serve_golden.json`     | Silo serving matrix ≡ its rerun; rows are valid JSON |
 //! | `serve_hw` | `serve_hw_golden.json`  | hardware serving matrix ≡ its rerun; rows are valid JSON; ledgers conserved |
@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use bionicdb::{BatchMode, BionicConfig, ExecMode, Machine, MachineReport};
+use bionicdb::{BatchMode, BionicConfig, ExecMode, MachineReport};
 use bionicdb_bench::batchbench::{sweep, to_json};
 use bionicdb_bench::json::{render_machine_row, validate, JsonOut};
 use bionicdb_bench::serve::hw::{hw_servers, probe_hw_variant, simulate_hw_variant};
@@ -52,13 +52,9 @@ const fn check(name: &'static str, golden: Option<&'static str>, run: fn() -> Ou
     Check { name, golden, run }
 }
 
-/// Every check, in run order. The fleet check forks chip processes, which
-/// is sound only while no other thread is alive, so no check may leave a
-/// thread behind: all of them run on the main thread and join any scoped
-/// threads they spawn. Fleet runs first, while the process is still small
-/// and its forks are cheap.
+/// Every check, in run order.
 const CHECKS: &[Check] = &[
-    check("fleet", None, fleet),
+    check("threads", None, threads),
     check("workload", Some("workload_goldens.json"), workload),
     check("serve", Some("serve_golden.json"), || {
         serving_matrix(serve_rows)
@@ -367,21 +363,11 @@ fn batch() -> Outcome {
 }
 
 // ---------------------------------------------------------------------------
-// fleet: forked chip processes vs in-process, byte for byte
+// threads: the epoch-parallel lane engine vs the serial loop, byte for byte
 // ---------------------------------------------------------------------------
 
-/// Arm a freshly built 4-worker machine: in-process on 2 sim threads, or
-/// as a 2-chip fleet.
-fn arm(m: &mut Machine, fleet: bool) {
-    if fleet {
-        m.set_fleet_chips(2);
-    } else {
-        m.set_sim_threads(2);
-    }
-}
-
-/// A fixed-seed 4-worker multisite YCSB-C machine, armed.
-fn fleet_ycsb_machine(fleet: bool) -> YcsbBionic {
+/// A fixed-seed 4-worker multisite YCSB-C machine on `sim_threads`.
+fn threads_ycsb_machine(sim_threads: usize) -> YcsbBionic {
     let cfg = BionicConfig {
         mode: ExecMode::Interleaved,
         ..BionicConfig::small(4)
@@ -393,13 +379,13 @@ fn fleet_ycsb_machine(fleet: bool) -> YcsbBionic {
         ..YcsbSpec::default()
     };
     let mut y = YcsbBionic::build(cfg, spec, 8);
-    arm(&mut y.machine, fleet);
+    y.machine.set_sim_threads(sim_threads);
     y
 }
 
 /// One fixed-seed multisite YCSB-C run; returns the full report JSON.
-fn fleet_ycsb(fleet: bool) -> String {
-    let mut y = fleet_ycsb_machine(fleet);
+fn threads_ycsb(sim_threads: usize) -> String {
+    let mut y = threads_ycsb_machine(sim_threads);
     let kind = YcsbKind::ReadHomed;
     drive(&mut YcsbWorkload { sys: &mut y, kind }, 24);
     y.machine.report().to_json()
@@ -409,8 +395,8 @@ fn fleet_ycsb(fleet: bool) -> String {
 /// cycles, round-robin over the workers, each entering at the cycle
 /// `step_until` landed on (`submit_txn` enters through `Machine::submit`),
 /// then a drain to quiescence and an idle step. Returns the full report JSON.
-fn fleet_ycsb_streamed(fleet: bool) -> String {
-    let mut y = fleet_ycsb_machine(fleet);
+fn threads_ycsb_streamed(sim_threads: usize) -> String {
+    let mut y = threads_ycsb_machine(sim_threads);
     let mut rng = YcsbBionic::rng(7);
     let size = y.block_size(YcsbKind::ReadHomed);
     for k in 0..48u64 {
@@ -426,7 +412,7 @@ fn fleet_ycsb_streamed(fleet: bool) -> String {
 }
 
 /// One fixed-seed SmallBank run; returns the full report JSON.
-fn fleet_smallbank(fleet: bool) -> String {
+fn threads_smallbank(sim_threads: usize) -> String {
     let cfg = BionicConfig {
         mode: ExecMode::Interleaved,
         max_batch: 2,
@@ -437,25 +423,28 @@ fn fleet_smallbank(fleet: bool) -> String {
         ..SmallBankSpec::tiny()
     };
     let mut sb = SmallBankBionic::build(cfg, spec);
-    arm(&mut sb.machine, fleet);
+    sb.machine.set_sim_threads(sim_threads);
     drive(&mut SmallBankWorkload { sys: &mut sb }, 24);
     sb.machine.report().to_json()
 }
 
-/// Splitting a machine across chip processes changes nothing observable:
-/// for every run, a 2-chip fleet must produce the in-process report byte
-/// for byte.
-fn fleet() -> Outcome {
-    type Run = fn(bool) -> String;
+/// Splitting a machine into lanes on threads changes nothing observable:
+/// for every run, 2 sim threads must produce the serial fast-forward
+/// report byte for byte.
+fn threads() -> Outcome {
+    type Run = fn(usize) -> String;
     for (name, run) in [
-        ("ycsb", fleet_ycsb as Run),
-        ("ycsb streamed", fleet_ycsb_streamed),
-        ("smallbank", fleet_smallbank),
+        ("ycsb", threads_ycsb as Run),
+        ("ycsb streamed", threads_ycsb_streamed),
+        ("smallbank", threads_smallbank),
     ] {
-        let what = format!("{name} fleet report vs in-process");
-        let reference = run(false);
-        ensure(!reference.contains("\"committed\":0,"), "the fleet runs commit work")?;
-        same(&what, &reference, &run(true))?;
+        let what = format!("{name} 2-thread report vs serial");
+        let reference = run(1);
+        ensure(
+            !reference.contains("\"committed\":0,"),
+            "the runs commit work",
+        )?;
+        same(&what, &reference, &run(2))?;
     }
     Ok(String::new())
 }

@@ -7,10 +7,10 @@
 //! starts to bite — the quantitative answer to the paper's "possible
 //! future direction" of scaling out.
 //!
-//! `--chips N` switches to the *fleet* study: a 64–256-worker sweep where
-//! each simulated machine is split across N chip processes (the
-//! multi-process epoch engine, `Machine::set_fleet_chips`); N must be at
-//! least 2 and divide 64, else the bin exits 2 with its usage line.
+//! `--chips N` switches to the *chips* study: a 64–256-worker sweep where
+//! each simulated machine is split across N chips (`Topology::MultiChip`)
+//! and simulated on N sim threads (the epoch-parallel lane engine); N must
+//! be at least 2 and divide 64, else the bin exits 2 with its usage line.
 //! Results go to `BENCH_scaleout.json` (override with `--out`), and full
 //! (non-`--quick`) runs append one row per sweep point to
 //! `results/bench_history.jsonl` so `benchdiff` tracks the scaling curve
@@ -32,12 +32,12 @@ const SPEC: ArgSpec = ArgSpec {
     options: &["--chips", "--out", "--history"],
 };
 
-/// Worker counts of the `--chips` fleet study; the link-latency axis runs
-/// at the first.
-const FLEET_WORKERS: [usize; 3] = [64, 128, 256];
+/// Worker counts of the `--chips` study; the link-latency axis runs at the
+/// first.
+const CHIPS_WORKERS: [usize; 3] = [64, 128, 256];
 
-/// A valid `--chips` value: at least 2 chip processes, dividing every
-/// fleet sweep size so each chip gets the same number of workers.
+/// A valid `--chips` value: at least 2 chips, dividing every sweep size so
+/// each chip gets the same number of workers.
 #[derive(Debug, PartialEq)]
 struct Chips(usize);
 
@@ -46,7 +46,7 @@ impl FromStr for Chips {
 
     fn from_str(s: &str) -> Result<Self, ()> {
         match s.parse::<usize>() {
-            Ok(n) if n >= 2 && FLEET_WORKERS.iter().all(|w| w % n == 0) => Ok(Chips(n)),
+            Ok(n) if n >= 2 && CHIPS_WORKERS.iter().all(|w| w % n == 0) => Ok(Chips(n)),
             _ => Err(()),
         }
     }
@@ -69,11 +69,12 @@ fn build(topology: Topology, remote_fraction: f64) -> YcsbBionic {
     y
 }
 
-/// Build one fleet sweep point: `workers` partitions split across `chips`
-/// simulated chips. The per-partition scale is shrunk far below the
-/// paper-figure spec (2 K records, 64 B payloads) so a 256-worker machine
-/// stays in the hundreds of megabytes, not the paper's tens of gigabytes.
-fn build_fleet(workers: usize, chips: usize, hops: u64) -> YcsbBionic {
+/// Build one chips sweep point: `workers` partitions split across `chips`
+/// simulated chips, run on one sim thread per chip. The per-partition
+/// scale is shrunk far below the paper-figure spec (2 K records, 64 B
+/// payloads) so a 256-worker machine stays in the hundreds of megabytes,
+/// not the paper's tens of gigabytes.
+fn build_chips(workers: usize, chips: usize, hops: u64) -> YcsbBionic {
     assert!(
         workers.is_multiple_of(chips),
         "worker count {workers} must divide evenly over {chips} chips"
@@ -101,14 +102,14 @@ fn build_fleet(workers: usize, chips: usize, hops: u64) -> YcsbBionic {
         ..YcsbSpec::default()
     };
     let mut y = YcsbBionic::build(cfg, spec, 60);
-    y.machine.set_fleet_chips(chips);
+    y.machine.set_sim_threads(chips);
     y
 }
 
-/// The `--chips N` fleet study: 64/128/256 workers across N chip
-/// processes, one machine per point, wall-clock and simulated-throughput
+/// The `--chips N` study: 64/128/256 workers across N chips on N sim
+/// threads, one machine per point, wall-clock and simulated-throughput
 /// rows to `out_path`, history rows (full runs only) for `benchdiff`.
-fn run_fleet_study(args: &BenchArgs, chips: usize) {
+fn run_chips_study(args: &BenchArgs, chips: usize) {
     let wave = args.wave(4, 12);
     let out_path = args.value("--out").unwrap_or("BENCH_scaleout.json").to_string();
     let history_path = args
@@ -117,11 +118,11 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
         .to_string();
     let quick = args.quick();
 
-    let mut json = format!("{{\n  \"bin\": \"scaleout-fleet\",\n  \"chips\": {chips},\n");
+    let mut json = format!("{{\n  \"bin\": \"scaleout-chips\",\n  \"chips\": {chips},\n");
     let mut table = Vec::new();
     let mut points = Vec::new();
-    for workers in FLEET_WORKERS {
-        let mut y = build_fleet(workers, chips, 25);
+    for workers in CHIPS_WORKERS {
+        let mut y = build_chips(workers, chips, 25);
         let wall = Instant::now();
         let t = bionic_ycsb_tput(&mut y, YcsbKind::ReadHomed, wave);
         let wall_secs = wall.elapsed().as_secs_f64();
@@ -146,14 +147,14 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
         points.push((workers, cps, cycles));
     }
 
-    // Inter-chip link-latency axis: the single-chip study already sweeps
-    // hops for the in-process machine; this repeats it for the *fleet*
-    // engine (64 workers), where a slow serial link also stretches the
-    // epoch barrier, not just individual messages.
+    // Inter-chip link-latency axis: the 8-worker study already sweeps
+    // hops; this repeats it for 64 workers on the lane engine, where a
+    // slow serial link also stretches the epoch barrier, not just
+    // individual messages.
     let mut hop_table = Vec::new();
     let mut hop_points = Vec::new();
     for hops in [8u64, 25, 100, 400] {
-        let mut y = build_fleet(FLEET_WORKERS[0], chips, hops);
+        let mut y = build_chips(CHIPS_WORKERS[0], chips, hops);
         let wall = Instant::now();
         let t = bionic_ycsb_tput(&mut y, YcsbKind::ReadHomed, wave);
         let wall_secs = wall.elapsed().as_secs_f64();
@@ -179,12 +180,12 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
     std::fs::write(&out_path, json).expect("write BENCH_scaleout.json");
     println!("wrote {out_path}");
     print_table(
-        &format!("Fleet scale-out: YCSB-C across {chips} chip processes"),
+        &format!("Chips scale-out: YCSB-C across {chips} chips on {chips} sim threads"),
         &["deployment", "kTps (sim)", "wall s", "sim cycles/s"],
         &table,
     );
     print_table(
-        &format!("Fleet scale-out: inter-chip link latency (64 workers, {chips} chips)"),
+        &format!("Chips scale-out: inter-chip link latency (64 workers, {chips} chips)"),
         &["link latency", "kTps (sim)", "wall s"],
         &hop_table,
     );
@@ -196,13 +197,13 @@ fn run_fleet_study(args: &BenchArgs, chips: usize) {
         let now = history::now_unix();
         let mut appended = 0usize;
         for (workers, cps, cycles) in points {
-            let mut e = Entry::basic(&format!("scaleout-fleet-{workers}w{chips}c"), cps, now);
+            let mut e = Entry::basic(&format!("scaleout-chips-{workers}w{chips}c"), cps, now);
             e.committed_cycles = Some(cycles);
             history::append(history_path.as_ref(), &e).expect("append bench history");
             appended += 1;
         }
         for (hops, cps, cycles) in hop_points {
-            let mut e = Entry::basic(&format!("scaleout-fleet-hops{hops}-64w{chips}c"), cps, now);
+            let mut e = Entry::basic(&format!("scaleout-chips-hops{hops}-64w{chips}c"), cps, now);
             e.committed_cycles = Some(cycles);
             history::append(history_path.as_ref(), &e).expect("append bench history");
             appended += 1;
@@ -215,7 +216,7 @@ fn main() {
     let args = BenchArgs::from_env(&SPEC);
     if args.value("--chips").is_some() {
         let Chips(chips) = args.parsed("--chips", Chips(2));
-        run_fleet_study(&args, chips);
+        run_chips_study(&args, chips);
         return;
     }
     let wave = args.wave(100, 300);

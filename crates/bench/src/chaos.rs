@@ -370,22 +370,24 @@ pub fn run_crash(
     run_crash_inner(workload, frac_permille, torn, seed, 1)
 }
 
-/// Like [`run_crash`], but the crash run executes on the *fleet* engine
-/// (`fleet_chips` chip processes over shared-memory rings), so the power
-/// loss lands inside a fleet barrier round. The clean twin stays on the
-/// in-process engine: every cross-run assertion (commit subset, salvaged
-/// prefix, recovered image) then doubles as a bit-identity check across
-/// the process boundary, and recovery itself replays on ordinary serial
-/// machines — a crashed fleet leaves nothing behind that recovery needs.
-pub fn run_fleet_crash(
+/// Like [`run_crash`], but the crash run executes on the epoch-parallel
+/// lane engine (`sim_threads` scoped threads), so the power loss lands
+/// inside a threaded barrier round. The clean twin stays on the serial
+/// loop: every cross-run assertion (commit subset, salvaged prefix,
+/// recovered image) then doubles as a bit-identity check between the two
+/// schedulers, and recovery itself replays on ordinary serial machines.
+pub fn run_threaded_crash(
     workload: ChaosWorkload,
     frac_permille: u64,
     torn: bool,
     seed: u64,
-    fleet_chips: usize,
+    sim_threads: usize,
 ) -> ChaosReport {
-    assert!(fleet_chips > 1, "a fleet needs at least two chips");
-    run_crash_inner(workload, frac_permille, torn, seed, fleet_chips)
+    assert!(
+        sim_threads > 1,
+        "a threaded run needs at least two sim threads"
+    );
+    run_crash_inner(workload, frac_permille, torn, seed, sim_threads)
 }
 
 fn run_crash_inner(
@@ -393,7 +395,7 @@ fn run_crash_inner(
     frac_permille: u64,
     torn: bool,
     seed: u64,
-    fleet_chips: usize,
+    sim_threads: usize,
 ) -> ChaosReport {
     let frac = frac_permille.min(999);
 
@@ -413,9 +415,7 @@ fn run_crash_inner(
     // (tearing the tail append when asked) plus the load-time checkpoint.
     let crash_cycle = (t_end * frac / 1000).max(1);
     let mut crashed = Sys::build(workload, None);
-    if fleet_chips > 1 {
-        crashed.machine().set_fleet_chips(fleet_chips);
-    }
+    crashed.machine().set_sim_threads(sim_threads);
     let ckpt_bytes = Checkpoint::dump(crashed.machine()).to_bytes();
     let truth: Rc<RefCell<Option<CommandLog>>> = Rc::new(RefCell::new(None));
     {
@@ -451,13 +451,13 @@ fn run_crash_inner(
     assert_eq!(resub, blocks, "identical build generates an identical batch");
     drive_to_completion(&mut crashed, &blocks);
     assert!(crashed.machine().is_crashed(), "the crash fired");
-    if fleet_chips > 1 {
-        // The fleet engine ran at least one coordinator/chip exchange
-        // before the power loss — the crash really did land inside a
-        // barrier round, not before the fleet ever engaged.
+    if sim_threads > 1 {
+        // The lane engine ran at least one barrier round before the power
+        // loss — the crash really did land inside a threaded round, not
+        // before the engine ever engaged.
         assert!(
             crashed.machine().epoch_rounds() > 0,
-            "crash landed inside a fleet barrier round"
+            "crash landed inside a threaded barrier round"
         );
     }
     let image = crashed

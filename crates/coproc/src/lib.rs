@@ -31,7 +31,6 @@
 //! where the tuple header has just been fetched ([`cc`]).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod cc;

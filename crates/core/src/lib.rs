@@ -48,7 +48,6 @@
 //! the experiment-by-experiment reproduction index.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod config;
 pub mod machine;

@@ -27,7 +27,6 @@ use crate::report::MachineReport;
 use crate::storage::{Loader, Partition};
 use crate::worker::PartitionWorker;
 
-mod fleet;
 mod par;
 
 /// The crash hook: called exactly once, at the crash cycle, with the
@@ -147,8 +146,6 @@ impl SystemBuilder {
             crash_image: None,
             resubmits: 0,
             trace_sink: Box::new(NullSink),
-            fleet_chips: 0,
-            fleet: None,
         }
     }
 }
@@ -238,8 +235,7 @@ pub struct LaneActivity {
     /// Wall-clock nanoseconds between this lane finishing its round and
     /// the round's barrier releasing — the skew the work-stealing
     /// scheduler exists to shrink. Wall-clock, hence nondeterministic;
-    /// everything the machine observes stays bit-exact regardless. Not
-    /// measured across processes: always 0 in fleet mode.
+    /// everything the machine observes stays bit-exact regardless.
     pub barrier_idle_ns: u64,
     /// Distribution of this lane's epoch lengths (cycles between its
     /// round-entry position and the horizon it was released to).
@@ -247,7 +243,7 @@ pub struct LaneActivity {
 }
 
 impl LaneActivity {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         LaneActivity {
             ticks: 0,
             skips: 0,
@@ -258,7 +254,7 @@ impl LaneActivity {
     }
 
     /// Add one phase's activity to these totals.
-    pub(crate) fn absorb(&mut self, phase: &LaneActivity) {
+    fn absorb(&mut self, phase: &LaneActivity) {
         self.ticks += phase.ticks;
         self.skips += phase.skips;
         self.rounds += phase.rounds;
@@ -317,11 +313,6 @@ pub struct Machine {
     /// run is bit-identical to one with a real sink installed (the sink is
     /// host-side instrumentation — nothing in the machine reads it).
     trace_sink: Box<dyn TraceSink>,
-    /// Chip processes requested for fleet-mode simulation (0 or 1 = off).
-    /// See `machine/fleet.rs`.
-    fleet_chips: usize,
-    /// The spawned fleet, once the first fleet run has forked the chips.
-    fleet: Option<fleet::Fleet>,
 }
 
 impl Machine {
@@ -378,13 +369,6 @@ impl Machine {
     /// byte-identical to a preload (see the `inject_equivalence`
     /// proptest).
     pub fn submit(&mut self, worker: usize, blk: TxnBlock) {
-        if let Some(f) = &mut self.fleet {
-            // The live worker lives in a chip process: queue the submit for
-            // relay with the next phase's opening frame, stamped with
-            // *this* cycle so queue-wait latency is unchanged.
-            f.pending_submits.push((worker, blk.addr(), self.now));
-            return;
-        }
         self.workers[worker].softcore.submit_at(blk.addr(), self.now);
     }
 
@@ -455,11 +439,6 @@ impl Machine {
         &mut self,
         bytes: &[u8],
     ) -> Result<ProcId, bionicdb_softcore::catalogue::CatalogueError> {
-        assert!(
-            self.fleet.is_none(),
-            "procedure uploads must precede the fleet spawn (the catalogue \
-             is inherited at fork, not relayed)"
-        );
         self.cat.register_proc_bytes(bytes)
     }
 
@@ -476,11 +455,6 @@ impl Machine {
         if self.crashed {
             return;
         }
-        assert!(
-            self.fleet.is_none(),
-            "strict ticking is unavailable once a fleet is spawned (worker \
-             state lives in the chip processes); use run_to_quiescence"
-        );
         self.ticks_executed += 1;
         self.now += 1;
         // Ordering invariants the epoch-parallel scheduler must (and does)
@@ -563,17 +537,16 @@ impl Machine {
     /// arrival), and the machine executes work *and* absorbs new input at
     /// arbitrary simulated cycles.
     ///
-    /// Works in every placement:
+    /// Works under both schedulers:
     /// - **fast-forward** skips provably-idle spans exactly as in
     ///   `run_to_quiescence_limit`, additionally clamping every skip to
     ///   `target` so the clock lands on it precisely;
-    /// - **epoch-parallel** (`sim_threads > 1`) and **fleet** runs are one
-    ///   epoch phase with its cap at `target`, finishing every lane there.
+    /// - **epoch-parallel** (`sim_threads > 1`) runs are one epoch phase
+    ///   with its cap at `target`, finishing every lane there.
     ///   Byte-identity holds because injected input is only visible
     ///   between calls — the event horizon within a call is fixed, the
     ///   same closed-world assumption `run_to_quiescence` makes (DESIGN.md
-    ///   §17). In a fleet, injections queued since the last call travel to
-    ///   the chips with the phase's opening frame.
+    ///   §17).
     ///
     /// A scheduled crash inside the span is honored: the machine freezes
     /// at the crash cycle with exactly the state serial ticking reaches,
@@ -591,16 +564,15 @@ impl Machine {
     /// or not). Either way it stops early once the machine crashes, and
     /// returns the cycles advanced.
     ///
-    /// With more than one sim thread or fleet chip, the whole call is one
-    /// epoch phase on the lane engine (bit-exact with the serial loop
-    /// below — see `par`); otherwise the serial fast-forward loop runs it.
+    /// With more than one sim thread, the whole call is one epoch phase on
+    /// the lane engine (bit-exact with the serial loop below — see `par`);
+    /// otherwise the serial fast-forward loop runs it.
     fn advance(&mut self, limit: u64, quiesce: bool) -> u64 {
         let start = self.now;
         if self.crashed || (quiesce && self.is_quiescent()) {
             return 0;
         }
-        let fleet = self.fleet_chips > 1 || self.fleet.is_some();
-        if self.workers.len() > 1 && (fleet || (self.fast_forward && self.sim_threads > 1)) {
+        if self.workers.len() > 1 && self.fast_forward && self.sim_threads > 1 {
             return self.run_lanes(limit, quiesce);
         }
         let target = if quiesce { u64::MAX } else { start + limit };
@@ -696,13 +668,6 @@ impl Machine {
 
     /// True when no work remains anywhere in the machine.
     pub fn is_quiescent(&self) -> bool {
-        if let Some(f) = &self.fleet {
-            // The live workers are in the chip processes; consult the
-            // slices from the last phase plus anything queued since.
-            return self.noc.is_idle()
-                && f.pending_submits.is_empty()
-                && f.slices.iter().all(|s| s.quiescent);
-        }
         self.noc.is_idle() && self.workers.iter().all(PartitionWorker::is_quiescent)
     }
 
@@ -714,11 +679,6 @@ impl Machine {
     /// [`FaultPlan::none()`] is exactly the default: a none-plan run is
     /// bit-identical to a run with no plan installed at all.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            self.fleet.is_none(),
-            "fault plans must be installed before the fleet spawns \
-             (chips inherit them at fork)"
-        );
         self.noc.set_faults(plan.noc.clone());
         // Every bank gets the schedule: DRAM fault ordinals are per-bank
         // ("the nth read *on this worker's memory channel*"), which keeps
@@ -788,10 +748,7 @@ impl Machine {
     /// completion instead of delivering (summed over every bank plus the
     /// host view). Simulator instrumentation, not machine state.
     pub fn cancelled_write_acks(&self) -> u64 {
-        let banks: u64 = match &self.fleet {
-            Some(f) => f.slices.iter().map(|s| s.cancelled_acks).sum(),
-            None => self.banks.iter().map(Dram::cancelled_acks).sum(),
-        };
+        let banks: u64 = self.banks.iter().map(Dram::cancelled_acks).sum();
         self.dram.cancelled_acks() + banks
     }
 
@@ -819,18 +776,12 @@ impl Machine {
     /// host view, which never carries simulated traffic).
     pub fn dram_stats(&self) -> bionicdb_fpga::DramStats {
         let mut s = self.dram.stats();
-        let fold = |s: &mut bionicdb_fpga::DramStats, b: bionicdb_fpga::DramStats| {
+        for b in self.banks.iter().map(Dram::stats) {
             s.reads += b.reads;
             s.writes += b.writes;
             s.bytes += b.bytes;
             s.rejections += b.rejections;
             s.transient_faults += b.transient_faults;
-        };
-        match &self.fleet {
-            // The live banks are in the chip processes: fold their last
-            // reported slices over the coordinator's host-view counters.
-            Some(f) => f.slices.iter().for_each(|sl| fold(&mut s, sl.bank)),
-            None => self.banks.iter().for_each(|b| fold(&mut s, b.stats())),
         }
         s
     }
@@ -838,13 +789,6 @@ impl Machine {
     /// Per-port DRAM accounting concatenated in bank (= worker) order —
     /// the same global port order the single shared DRAM used to expose.
     pub fn dram_ports(&self) -> Vec<bionicdb_fpga::PortStats> {
-        if let Some(f) = &self.fleet {
-            return f
-                .slices
-                .iter()
-                .flat_map(|s| s.ports.iter().copied())
-                .collect();
-        }
         self.banks
             .iter()
             .flat_map(|b| b.port_stats().iter().copied())
@@ -872,26 +816,6 @@ impl Machine {
     /// The configured sim-thread count.
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
-    }
-
-    /// Request fleet-mode simulation: the first `run_to_quiescence` or
-    /// `step_until` call forks `n` chip processes and coordinates them
-    /// over shared-memory rings — bit-for-bit identical to the in-process engines
-    /// (enforced by `goldencheck`). `0` or `1` disables fleet mode. Must be
-    /// called from a single-threaded process (forking), and before the
-    /// first fleet run; machine configuration (fault plans, trace sinks,
-    /// procedure uploads) must be complete before that run spawns.
-    pub fn set_fleet_chips(&mut self, n: usize) {
-        assert!(
-            self.fleet.is_none(),
-            "fleet already spawned; chip count is fixed"
-        );
-        self.fleet_chips = n;
-    }
-
-    /// The requested fleet chip count (0 or 1 = fleet mode off).
-    pub fn fleet_chips(&self) -> usize {
-        self.fleet_chips
     }
 
     /// The interconnect.
@@ -922,10 +846,6 @@ impl Machine {
     /// Set the in-flight DB instruction bound on every coprocessor
     /// (the Fig. 10/11 sweep knob).
     pub fn set_max_inflight(&mut self, n: usize) {
-        assert!(
-            self.fleet.is_none(),
-            "coprocessor knobs must be set before the fleet spawns"
-        );
         for w in &mut self.workers {
             w.coproc.set_max_inflight(n);
         }
@@ -974,47 +894,17 @@ impl Machine {
             resubmits: self.resubmits,
             ..MachineStats::default()
         };
-        for w in 0..self.workers.len() {
-            let (sc, glue) = match &self.fleet {
-                Some(f) => (f.slices[w].softcore, f.slices[w].glue),
-                None => (self.workers[w].softcore.stats(), self.workers[w].stats()),
-            };
+        for w in &self.workers {
+            let sc = w.softcore.stats();
             s.committed += sc.committed;
             s.aborted += sc.aborted;
             s.batches += sc.batches;
             s.db_insts += sc.db_insts;
             s.cpu_insts += sc.cpu_insts;
-            s.fault_aborts += glue.retry_exhausted;
-            match &self.fleet {
-                Some(f) => s.abort_reasons.merge(&f.slices[w].obs.abort_reasons),
-                None => s
-                    .abort_reasons
-                    .merge(&self.workers[w].softcore.obs().abort_reasons),
-            }
+            s.fault_aborts += w.stats().retry_exhausted;
+            s.abort_reasons.merge(&w.softcore.obs().abort_reasons);
         }
         s
-    }
-
-    /// One worker's full report slice, fleet-aware: live counters in
-    /// in-process modes, the last `PhaseEnd` snapshot in fleet mode.
-    /// [`MachineReport::collect`] reads workers exclusively through this.
-    pub fn worker_report(&self, w: usize) -> crate::report::WorkerReport {
-        if let Some(f) = &self.fleet {
-            let s = &f.slices[w];
-            return crate::report::WorkerReport {
-                softcore: s.softcore,
-                obs: s.obs.clone(),
-                glue: s.glue,
-                stages: s.stages.clone(),
-            };
-        }
-        let worker = &self.workers[w];
-        crate::report::WorkerReport {
-            softcore: worker.softcore.stats(),
-            obs: worker.softcore.obs().clone(),
-            glue: worker.stats(),
-            stages: worker.coproc.stage_report(),
-        }
     }
 
     /// Install a trace sink. When the sink reports itself enabled, every
@@ -1022,11 +912,6 @@ impl Machine {
     /// which the machine drains into the sink at the end of each tick.
     /// Installing a [`NullSink`] (the default) turns tracing back off.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        assert!(
-            self.fleet.is_none(),
-            "trace sinks must be installed before the fleet spawns \
-             (chips inherit the tracing flag at fork)"
-        );
         let on = sink.enabled();
         for w in &mut self.workers {
             w.softcore.set_tracing(on);

@@ -15,17 +15,16 @@
 //! all *far away* can safely run far ahead of a lane whose senders are
 //! near.
 //!
-//! # One engine, two placements
+//! # One engine, one placement
 //!
 //! Each worker *lane* (worker + bank + tables + detached [`EpochLink`])
 //! is a work item. One driver, [`drive`], runs an epoch phase: it asks the
-//! [`EpochCoordinator`] for the next step and hands it to a
-//! [`Placement`], which can do exactly two things — run a set of lanes to
-//! their horizons, and finish every lane at a common cycle. The threaded
-//! placement (this module) runs lanes on scoped threads; the fleet
-//! placement (`machine/fleet.rs`) runs them in forked chip processes.
-//! Both execute a lane with the same [`step_lane`]/[`finish_lane`], so the
-//! placements are bit-identical by construction.
+//! [`EpochCoordinator`] for the next step and hands it to [`Threads`],
+//! which can do exactly two things — run a set of lanes to their horizons
+//! on scoped threads, and finish every lane at a common cycle. The
+//! coordinator has no opinion about which thread runs which lane: every
+//! lane steps through the same [`step_lane`]/[`finish_lane`], and the
+//! round's fold does not depend on the claim order.
 //!
 //! # The schedule (GVT + per-pair horizons)
 //!
@@ -48,13 +47,13 @@
 //! 4. Per-lane horizon `H_i = min(floor_i, min_{j != i}(A_j + L(j, i))) - 1`
 //!    (capped): no send any lane can still make, and no send already
 //!    staged, can arrive at `i` at or before `H_i`.
-//! 5. Every lane whose next action is `<= H_i` is scheduled. In the
-//!    threaded placement threads (the coordinator included) **claim lanes
-//!    dynamically** with an atomic cursor. Each thread **folds** the round
-//!    traffic and trace of the lanes it ran into one result, and after the
-//!    barrier the coordinator folds the per-thread results. Every fold key
-//!    is `(cycle, lane)` and two lanes never tie, so the round's fold is
-//!    the same whichever thread ran which lane.
+//! 5. Every lane whose next action is `<= H_i` is scheduled. Threads (the
+//!    coordinator included) **claim lanes dynamically** with an atomic
+//!    cursor. Each thread **folds** the round traffic and trace of the
+//!    lanes it ran into one result, and after the barrier the coordinator
+//!    folds the per-thread results. Every fold key is `(cycle, lane)` and
+//!    two lanes never tie, so the round's fold is the same whichever
+//!    thread ran which lane.
 //!
 //! Trace events drain to the sink only below the GVT (their serial order
 //! is then final); the remainder drains at phase end.
@@ -107,23 +106,22 @@ use crate::worker::PartitionWorker;
 // ---------------------------------------------------------------------------
 // one lane
 
-/// One worker's slice of the machine, self-contained for a phase. Both
-/// placements build one per worker they own.
-pub(crate) struct Lane<'a> {
+/// One worker's slice of the machine, self-contained for a phase.
+struct Lane<'a> {
     idx: usize,
     worker: &'a mut PartitionWorker,
-    pub(crate) bank: &'a mut Dram,
+    bank: &'a mut Dram,
     tables: &'a mut [TableState],
     /// This lane's clock: the last cycle it ticked or skipped to.
     pos: u64,
     /// What running this lane cost the simulator this phase.
-    pub(crate) act: LaneActivity,
+    act: LaneActivity,
     /// Trace events buffered this round, stamped with their cycle.
     trace: Vec<(u64, TxnEvent)>,
 }
 
 impl<'a> Lane<'a> {
-    pub(crate) fn new(
+    fn new(
         idx: usize,
         worker: &'a mut PartitionWorker,
         bank: &'a mut Dram,
@@ -145,14 +143,14 @@ impl<'a> Lane<'a> {
 /// What a lane reports to the coordinator: its phase-entry snapshot and,
 /// after every round it ran, its barrier scalars (its traffic and trace
 /// travel in a [`RoundNode`] instead).
-pub(crate) struct LaneOut {
+struct LaneOut {
     /// The lane's next self-known action, or `None` when the worker,
     /// bank, and queued deliveries are all exhausted.
-    pub(crate) hint: Option<u64>,
-    pub(crate) pos: u64,
-    pub(crate) quiescent: bool,
+    hint: Option<u64>,
+    pos: u64,
+    quiescent: bool,
     /// Whether the lane's delivery queue is empty.
-    pub(crate) drained: bool,
+    drained: bool,
 }
 
 impl LaneOut {
@@ -167,23 +165,23 @@ impl LaneOut {
     }
 
     /// The phase-entry snapshot of a freshly built lane.
-    pub(crate) fn entry(lane: &Lane<'_>, link: &EpochLink) -> Self {
+    fn entry(lane: &Lane<'_>, link: &EpochLink) -> Self {
         Self::of(lane, link, lane_next(lane, link))
     }
 }
 
 /// The round traffic and trace of one lane, or the fold of several.
 #[derive(Default)]
-pub(crate) struct RoundNode {
-    pub(crate) batch: StagedBatch,
+struct RoundNode {
+    batch: StagedBatch,
     /// Trace events `(cycle, lane, event)`, sorted by `(cycle, lane)`.
-    pub(crate) trace: Vec<(u64, u32, TxnEvent)>,
+    trace: Vec<(u64, u32, TxnEvent)>,
 }
 
 impl RoundNode {
     /// Fold `other` in; the result does not depend on the fold order (see
     /// [`StagedBatch::fold`]).
-    pub(crate) fn fold(&mut self, other: Self) {
+    fn fold(&mut self, other: Self) {
         self.batch.fold(other.batch);
         merge_traces(&mut self.trace, other.trace);
     }
@@ -195,10 +193,10 @@ fn merge_traces(a: &mut Vec<(u64, u32, TxnEvent)>, b: Vec<(u64, u32, TxnEvent)>)
     fold_sorted(a, b, |&(c, lane, _)| (c, lane));
 }
 
-/// What one thread or chip hands back for a round, and what a round
-/// returns: the scheduled lanes' reports (in any order) plus their folded
-/// traffic and trace.
-pub(crate) type Folded = (Vec<(usize, LaneOut)>, RoundNode);
+/// What one thread hands back for a round, and what a round returns: the
+/// scheduled lanes' reports (in any order) plus their folded traffic and
+/// trace.
+type Folded = (Vec<(usize, LaneOut)>, RoundNode);
 
 /// The earliest cycle `> lane.pos` at which this lane has an event: its
 /// worker's own next event, its bank's next completion, or its queue
@@ -268,10 +266,10 @@ fn run_round(
     }
 }
 
-/// The one lane step both placements run for a scheduled lane: deliver
-/// the routed packets, run to `horizon`, and harvest the round's traffic
-/// and trace for the merge plus the scalars for the coordinator.
-pub(crate) fn step_lane(
+/// The lane step for a scheduled lane: deliver the routed packets, run to
+/// `horizon`, and harvest the round's traffic and trace for the merge plus
+/// the scalars for the coordinator.
+fn step_lane(
     lane: &mut Lane<'_>,
     link: &mut EpochLink,
     horizon: u64,
@@ -292,7 +290,7 @@ pub(crate) fn step_lane(
 /// Top a lane up to the common exit cycle. With `expect_idle` (the
 /// coordinator determined the machine is quiescent) this also audits that
 /// nothing was left behind.
-pub(crate) fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect_idle: bool) {
+fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect_idle: bool) {
     debug_assert!(to >= lane.pos, "finish target behind lane position");
     if to > lane.pos {
         lane.worker.skip(to - lane.pos);
@@ -319,7 +317,7 @@ pub(crate) fn finish_lane(lane: &mut Lane<'_>, link: &EpochLink, to: u64, expect
 
 /// One scheduled lane in a barrier round:
 /// `(lane index, granted horizon, deliveries routed since it last ran)`.
-pub(crate) type RoundEntry = (usize, u64, Vec<(u64, Packet)>);
+type RoundEntry = (usize, u64, Vec<(u64, Packet)>);
 
 /// What the coordinator decided for the next barrier round.
 enum Step {
@@ -334,7 +332,7 @@ enum Step {
 
 /// Where an epoch phase stops.
 #[derive(Clone, Copy)]
-pub(crate) enum Stop {
+enum Stop {
     /// `run_to_quiescence_limit`: stop once the machine ran dry; panic
     /// when it is still busy `limit` cycles on (after the one-time
     /// extension to the next event).
@@ -347,7 +345,7 @@ pub(crate) enum Stop {
 /// fixpoint, staged-send commits, Bellman-Ford earliest-action relaxation,
 /// per-lane horizon grants, and the exit policy — with *no* opinion about
 /// how lanes actually execute.
-pub(crate) struct EpochCoordinator {
+struct EpochCoordinator {
     n: usize,
     now0: u64,
     stop: Stop,
@@ -374,7 +372,7 @@ pub(crate) struct EpochCoordinator {
 impl EpochCoordinator {
     /// Build from the phase-entry snapshot, one [`LaneOut`] per lane,
     /// captured right after [`Noc::begin_epoch`] detached the links.
-    pub(crate) fn new(now0: u64, stop: Stop, crash: Option<u64>, init: Vec<LaneOut>) -> Self {
+    fn new(now0: u64, stop: Stop, crash: Option<u64>, init: Vec<LaneOut>) -> Self {
         let n = init.len();
         let last = match stop {
             Stop::Quiesce { limit } => now0.saturating_add(limit) - 1,
@@ -593,28 +591,19 @@ impl EpochCoordinator {
 // ---------------------------------------------------------------------------
 // the driver
 
-/// Where an epoch phase's lanes execute.
-pub(crate) trait Placement {
-    /// Run the scheduled lanes, each to its granted horizon. Returns every
-    /// scheduled lane's report and the round's folded traffic and trace.
-    fn run(&mut self, lanes: Vec<RoundEntry>) -> Folded;
-    /// Finish every lane at cycle `to`, closing the phase.
-    fn finish(&mut self, to: u64, expect_idle: bool);
-}
-
 /// The coordinator-side outcome of one phase.
-pub(crate) struct Drive {
-    pub(crate) to: u64,
-    pub(crate) rounds: u64,
+struct Drive {
+    to: u64,
+    rounds: u64,
     /// Deliveries routed but never handed to a lane.
-    pub(crate) slots: Vec<Vec<(u64, Packet)>>,
+    slots: Vec<Vec<(u64, Packet)>>,
 }
 
 /// The one epoch-phase driver: step the coordinator until it declares the
 /// phase over, running each round on `place`, committing its traffic, and
 /// draining trace events to `sink` in serial order.
-pub(crate) fn drive(
-    place: &mut impl Placement,
+fn drive<'c: 'scope, 'scope, 'env, 'a: 'scope>(
+    place: &mut Threads<'c, 'scope, 'env, 'a>,
     mut coord: EpochCoordinator,
     mut merger: EpochMerger,
     noc: &mut Noc,
@@ -657,8 +646,8 @@ pub(crate) fn drive(
 }
 
 impl Machine {
-    /// [`Machine::advance`] on the lane engine: one epoch phase over the
-    /// threaded or the fleet placement, run through its stop cycle. The
+    /// [`Machine::advance`] on the lane engine: one epoch phase on
+    /// `sim_threads` scoped threads, run through its stop cycle. The
     /// caller has ruled out a crashed machine and a quiescence run on a
     /// quiescent one.
     pub(crate) fn run_lanes(&mut self, limit: u64, quiesce: bool) -> u64 {
@@ -671,18 +660,11 @@ impl Machine {
         };
         // A crash cycle already behind the clock fires on the next tick.
         let crash = self.fault_plan.crash_at.map(|c| c.max(start + 1));
-        if self.fleet_chips > 1 && self.fleet.is_none() {
-            self.fleet_spawn();
-        }
         // The merger's depth mirror must be captured before `begin_epoch`
         // detaches the delivery queues.
         let merger = EpochMerger::new(&self.noc);
         let links = self.noc.begin_epoch();
-        let (end, links, acts) = if self.fleet.is_some() {
-            self.fleet_phase(links, stop, crash, merger)
-        } else {
-            self.thread_phase(links, stop, crash, merger)
-        };
+        let (end, links, acts) = self.thread_phase(links, stop, crash, merger);
 
         for (la, a) in self.lane_activity.iter_mut().zip(&acts) {
             la.absorb(a);
@@ -705,7 +687,7 @@ impl Machine {
 }
 
 // ---------------------------------------------------------------------------
-// the threaded placement
+// the threads
 
 /// Coordinator commands, published before the round barrier.
 #[derive(Clone, Copy)]
@@ -905,8 +887,8 @@ impl<'a> Crew<'a> {
     }
 }
 
-/// The threaded placement: lanes on scoped threads, spawned at the first
-/// round (a phase with no rounds runs on the calling thread alone).
+/// Where lanes run: scoped threads, spawned at the first round (a phase
+/// with no rounds runs on the calling thread alone).
 struct Threads<'c, 'scope, 'env, 'a> {
     scope: &'scope Scope<'scope, 'env>,
     crew: &'c Crew<'a>,
@@ -914,7 +896,9 @@ struct Threads<'c, 'scope, 'env, 'a> {
     spawned: bool,
 }
 
-impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Placement for Threads<'c, 'scope, 'env, 'a> {
+impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Threads<'c, 'scope, 'env, 'a> {
+    /// Run the scheduled lanes, each to its granted horizon. Returns every
+    /// scheduled lane's report and the round's folded traffic and trace.
     fn run(&mut self, lanes: Vec<RoundEntry>) -> Folded {
         let crew = self.crew;
         if !self.spawned {
@@ -947,6 +931,7 @@ impl<'c: 'scope, 'scope, 'env, 'a: 'scope> Placement for Threads<'c, 'scope, 'en
         round
     }
 
+    /// Finish every lane at cycle `to`, closing the phase.
     fn finish(&mut self, to: u64, expect_idle: bool) {
         let cmd = Cmd::Finish { to, expect_idle };
         if self.spawned {

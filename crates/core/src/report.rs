@@ -64,12 +64,14 @@ impl MachineReport {
         let mut obs = SoftcoreObs::default();
         let mut workers = Vec::with_capacity(m.num_workers());
         for w in 0..m.num_workers() {
-            // `worker_report` is fleet-aware: in fleet mode the counters
-            // come from the chips' last PhaseEnd slices, not the (stale)
-            // coordinator-side worker objects.
-            let wr = m.worker_report(w);
-            obs.merge(&wr.obs);
-            workers.push(wr);
+            let worker = m.worker(w);
+            obs.merge(worker.softcore.obs());
+            workers.push(WorkerReport {
+                softcore: worker.softcore.stats(),
+                obs: worker.softcore.obs().clone(),
+                glue: worker.stats(),
+                stages: worker.coproc.stage_report(),
+            });
         }
         MachineReport {
             now: m.now(),

@@ -24,7 +24,6 @@
 //! paper-figure harness with [`CoreModel`].
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -456,25 +456,6 @@ pub struct DramStats {
     pub transient_faults: u64,
 }
 
-impl crate::wire::Wire for DramStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.reads.put(out);
-        self.writes.put(out);
-        self.bytes.put(out);
-        self.rejections.put(out);
-        self.transient_faults.put(out);
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        DramStats {
-            reads: r.get(),
-            writes: r.get(),
-            bytes: r.get(),
-            rejections: r.get(),
-            transient_faults: r.get(),
-        }
-    }
-}
-
 /// Number of buckets in the [`PortStats::mlp_hist`] occupancy histogram.
 pub const MLP_BUCKETS: usize = 8;
 
@@ -521,42 +502,6 @@ pub struct PortStats {
     pub mlp_peak: u64,
 }
 
-impl crate::wire::Wire for PortStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.reads.put(out);
-        self.writes.put(out);
-        self.bytes.put(out);
-        self.occupancy_cycles.put(out);
-        for b in &self.mlp_hist {
-            b.put(out);
-        }
-        self.mlp_peak.put(out);
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        let reads = r.get();
-        let writes = r.get();
-        let bytes = r.get();
-        let occupancy_cycles = r.get();
-        let mut mlp_hist = [0u64; MLP_BUCKETS];
-        for b in &mut mlp_hist {
-            *b = r.get();
-        }
-        PortStats {
-            reads,
-            writes,
-            bytes,
-            occupancy_cycles,
-            mlp_hist,
-            mlp_peak: r.get(),
-        }
-    }
-}
-
-/// One journaled functional write: `(address, bytes)`. The fleet simulator
-/// replays these on remote copies of the frame store to keep the functional
-/// memory image coherent across process boundaries.
-pub type WriteJournal = Vec<(u64, Vec<u8>)>;
-
 /// The simulated FPGA-side DRAM: functional byte store plus timing model.
 ///
 /// The byte image lives in a `PageStore` shared by reference: [`Dram::bank`]
@@ -584,12 +529,6 @@ pub struct Dram {
     /// observes these responses, so the report schema stays byte-identical
     /// with and without cancellation.
     cancelled_acks: u64,
-    /// When armed, every functional write through this view is also
-    /// recorded here (all timed writes funnel through [`Dram::host_write`]
-    /// at issue time, so this captures the complete mutation stream). The
-    /// fleet simulator arms it per-process and ships the journal at epoch
-    /// barriers; `None` (the default) is bit-inert.
-    journal: Option<WriteJournal>,
     /// When armed, accepted reads sample their port's outstanding-read
     /// occupancy into [`PortStats::mlp_hist`]. Off (the default) leaves
     /// every statistic untouched.
@@ -618,7 +557,6 @@ impl Dram {
             faults: DramFaults::default(),
             reads_seen: 0,
             cancelled_acks: 0,
-            journal: None,
             mlp_tracking: false,
             mlp_live: Vec::new(),
         }
@@ -642,7 +580,6 @@ impl Dram {
             faults: DramFaults::default(),
             reads_seen: 0,
             cancelled_acks: 0,
-            journal: None,
             mlp_tracking: self.mlp_tracking,
             mlp_live: Vec::new(),
         }
@@ -886,39 +823,10 @@ impl Dram {
 
     /// Untimed write, modelling host/PCIe population of memory.
     ///
-    /// Every functional mutation of the byte image funnels through here —
-    /// timed writes apply their bytes at issue time via this method — so an
-    /// armed write journal (see [`Dram::set_write_journal`]) captures the
-    /// complete mutation stream of this view.
+    /// Every functional mutation of the byte image funnels through here:
+    /// timed writes apply their bytes at issue time via this method.
     pub fn host_write(&mut self, addr: u64, data: &[u8]) {
-        if let Some(j) = self.journal.as_mut() {
-            j.push((addr, data.to_vec()));
-        }
         self.store.write(addr, data);
-    }
-
-    /// Arm (or disarm) the write journal on this view. Journaling is pure
-    /// host-side bookkeeping: no cycle, statistic, or functional byte
-    /// depends on whether it is armed.
-    pub fn set_write_journal(&mut self, on: bool) {
-        self.journal = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Drain the armed journal (empty when disarmed).
-    pub fn take_write_journal(&mut self) -> WriteJournal {
-        match self.journal.as_mut() {
-            Some(j) => std::mem::take(j),
-            None => Vec::new(),
-        }
-    }
-
-    /// Replay a journal captured on another view of (a copy of) this image.
-    /// Applies directly to the frame store, bypassing this view's own
-    /// journal — a relayed write must not echo back into the next journal.
-    pub fn apply_write_journal(&mut self, entries: &[(u64, Vec<u8>)]) {
-        for (addr, data) in entries {
-            self.store.write(*addr, data);
-        }
     }
 
     /// Read `out.len()` bytes starting at `addr` into a caller-provided
@@ -1030,19 +938,6 @@ mod tests {
         );
         assert_eq!(fast.store.allocated().count(), 6);
         assert_eq!(fast.image_digest(), slow.image_digest());
-    }
-
-    #[test]
-    fn armed_journal_sees_whole_frame_writes() {
-        let mut d = small_dram();
-        d.set_write_journal(true);
-        let frame: Vec<u8> = (0..FRAME_SIZE).map(|i| i as u8).collect();
-        d.host_write(4 * FRAME_SIZE as u64, &frame);
-        let journal = d.take_write_journal();
-        assert_eq!(journal, vec![(4 * FRAME_SIZE as u64, frame)]);
-        let mut replica = small_dram();
-        replica.apply_write_journal(&journal);
-        assert_eq!(replica.image_digest(), d.image_digest());
     }
 
     #[test]

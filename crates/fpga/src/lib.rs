@@ -33,7 +33,6 @@
 //! simulation is deterministic and reproducible.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod dram;
 pub mod fault;
@@ -43,7 +42,6 @@ pub mod obs;
 pub mod region;
 pub mod stats;
 pub mod timing;
-pub mod wire;
 
 pub use dram::{
     mlp_bucket, Dram, DramStats, MemData, MemKind, MemRequest, MemResponse, PortId, PortStats,

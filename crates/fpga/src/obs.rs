@@ -57,29 +57,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-impl crate::wire::Wire for LatencyHistogram {
-    fn put(&self, out: &mut Vec<u8>) {
-        for b in &self.buckets {
-            b.put(out);
-        }
-        self.count.put(out);
-        self.sum.put(out);
-        self.min.put(out);
-        self.max.put(out);
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        let mut h = LatencyHistogram::default();
-        for b in &mut h.buckets {
-            *b = r.get();
-        }
-        h.count = r.get();
-        h.sum = r.get();
-        h.min = r.get();
-        h.max = r.get();
-        h
-    }
-}
-
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros`, capped.
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
@@ -264,31 +241,6 @@ impl AbortReasons {
     }
 }
 
-impl crate::wire::Wire for AbortReasons {
-    fn put(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.not_found,
-            self.cc_conflict,
-            self.dirty,
-            self.bad_request,
-            self.timeout,
-            self.other,
-        ] {
-            v.put(out);
-        }
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        AbortReasons {
-            not_found: r.get(),
-            cc_conflict: r.get(),
-            dirty: r.get(),
-            bad_request: r.get(),
-            timeout: r.get(),
-            other: r.get(),
-        }
-    }
-}
-
 /// The lifecycle timestamps of one finished transaction, recorded by the
 /// softcore when the context retires in the commit phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,31 +261,6 @@ pub struct TxnEvent {
     pub finished_at: Cycle,
     /// Whether the transaction committed.
     pub committed: bool,
-}
-
-impl crate::wire::Wire for TxnEvent {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.worker.put(out);
-        self.block_addr.put(out);
-        self.submitted_at.put(out);
-        self.logic_start.put(out);
-        self.logic_end.put(out);
-        self.commit_start.put(out);
-        self.finished_at.put(out);
-        self.committed.put(out);
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        TxnEvent {
-            worker: r.get(),
-            block_addr: r.get(),
-            submitted_at: r.get(),
-            logic_start: r.get(),
-            logic_end: r.get(),
-            commit_start: r.get(),
-            finished_at: r.get(),
-            committed: r.get(),
-        }
-    }
 }
 
 /// A consumer of transaction lifecycle events.

@@ -60,24 +60,6 @@ impl Region {
         self.brk - self.base
     }
 
-    /// Current bump cursor (the next unaligned allocation address).
-    pub fn brk(&self) -> u64 {
-        self.brk
-    }
-
-    /// Overwrite the bump cursor. The fleet simulator uses this to mirror a
-    /// chip process's allocator state onto the coordinator's stale copy of
-    /// the same region; the cursor must stay inside `[base, base + size]`.
-    pub fn set_brk(&mut self, brk: u64) {
-        assert!(
-            brk >= self.base && brk <= self.base + self.size,
-            "brk {brk:#x} outside region [{:#x}, {:#x}]",
-            self.base,
-            self.base + self.size
-        );
-        self.brk = brk;
-    }
-
     /// Bytes still available.
     pub fn remaining(&self) -> u64 {
         self.base + self.size - self.brk

@@ -21,23 +21,6 @@ pub struct StageStats {
     pub items: u64,
 }
 
-impl crate::wire::Wire for StageStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.busy.put(out);
-        self.stalled.put(out);
-        self.idle.put(out);
-        self.items.put(out);
-    }
-    fn get(r: &mut crate::wire::Reader<'_>) -> Self {
-        StageStats {
-            busy: r.get(),
-            stalled: r.get(),
-            idle: r.get(),
-            items: r.get(),
-        }
-    }
-}
-
 impl StageStats {
     /// Record one busy cycle and `items` processed items.
     pub fn work(&mut self, items: u64) {

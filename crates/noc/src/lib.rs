@@ -28,7 +28,6 @@
 //!   for the interconnect ablation.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 use std::collections::VecDeque;
 
@@ -57,19 +56,6 @@ pub enum Topology {
         /// 3-cycle hops, 25 hops ≈ 600 ns — an aggressive serial link).
         inter_node_hops: u64,
     },
-    /// A fleet of chips arranged in a chip-level ring — the generalization
-    /// of [`Topology::MultiChip`] the multi-process fleet simulator models:
-    /// intra-chip messages ride the local crossbar (one hop), inter-chip
-    /// messages pay `neighbor_hops` per chip-ring step between the two
-    /// chips (shortest way around). With two chips this is exactly
-    /// `MultiChip { inter_node_hops: neighbor_hops }`; beyond that, distance
-    /// between chips matters, the way cabling between boards makes it.
-    Fleet {
-        /// Workers per chip.
-        workers_per_chip: usize,
-        /// Cost of one chip-ring step, in units of the one-hop latency.
-        neighbor_hops: u64,
-    },
 }
 
 impl Topology {
@@ -93,20 +79,6 @@ impl Topology {
                     1
                 } else {
                     inter_node_hops.max(1)
-                }
-            }
-            Topology::Fleet {
-                workers_per_chip,
-                neighbor_hops,
-            } => {
-                let (ca, cb) = (a / workers_per_chip, b / workers_per_chip);
-                if ca == cb {
-                    1
-                } else {
-                    let chips = n.div_ceil(workers_per_chip);
-                    let d = ca.abs_diff(cb);
-                    let steps = d.min(chips - d).max(1) as u64;
-                    steps * neighbor_hops.max(1)
                 }
             }
         }
@@ -785,100 +757,6 @@ impl EpochMerger {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Wire codecs (fleet transport)
-// ---------------------------------------------------------------------------
-//
-// The multi-process fleet simulator ships interconnect state between the
-// coordinator and its chip processes: detached `EpochLink`s travel to the
-// chip owning the lane and back at phase boundaries, and each round's
-// `StagedBatch` rides the chip's reply. The codecs live here because the
-// fields are deliberately private — process boundaries don't get to widen
-// the API the in-process scheduler sees.
-
-use bionicdb_fpga::wire::{Reader, Wire};
-
-impl Wire for Payload {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Payload::Request(rq) => {
-                0u8.put(out);
-                rq.put(out);
-            }
-            Payload::Response(rs) => {
-                1u8.put(out);
-                rs.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        match u8::get(r) {
-            0 => Payload::Request(r.get()),
-            1 => Payload::Response(r.get()),
-            t => panic!("bad Payload tag {t}"),
-        }
-    }
-}
-
-impl Wire for Packet {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.src.put(out);
-        self.dst.put(out);
-        self.seq.put(out);
-        self.payload.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        Packet {
-            src: r.get(),
-            dst: r.get(),
-            seq: r.get(),
-            payload: r.get(),
-        }
-    }
-}
-
-impl Wire for EpochLink {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.id.put(out);
-        self.n.put(out);
-        self.issue_width.put(out);
-        (self.queue.len() as u64).put(out);
-        for e in &self.queue {
-            e.put(out);
-        }
-        self.round.put(out);
-        self.last_send.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        EpochLink {
-            id: r.get(),
-            n: r.get(),
-            issue_width: r.get(),
-            queue: {
-                let n = u64::get(r) as usize;
-                (0..n).map(|_| r.get()).collect()
-            },
-            round: r.get(),
-            last_send: r.get(),
-        }
-    }
-}
-
-impl Wire for StagedBatch {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.sends.put(out);
-        self.polls.put(out);
-        self.rejected.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        StagedBatch {
-            sends: r.get(),
-            polls: r.get(),
-            rejected: r.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,10 +1086,10 @@ mod tests {
     }
 
     proptest! {
-        /// The property the threaded and fleet placements rely on: folding
-        /// a round's lane batches in any grouping and any order gives the
-        /// batch of the lane-order fold, so which thread or chip ran which
-        /// lane cannot show in the committed traffic.
+        /// The property the threaded lane engine relies on: folding a
+        /// round's lane batches in any grouping and any order gives the
+        /// batch of the lane-order fold, so which thread ran which lane
+        /// cannot show in the committed traffic.
         #[test]
         fn batch_folds_agree_in_any_grouping_and_order(
             lanes in prop::collection::vec(lane_traffic(), 1..7),
@@ -1257,7 +1135,7 @@ mod tests {
         /// definition can never drift apart.
         #[test]
         fn lookahead_caches_match_recomputed_topology_math(
-            which in 0usize..4,
+            which in 0usize..3,
             n in 1usize..12,
             raw_hop in 0u64..8,
             per in 1usize..5,
@@ -1266,13 +1144,9 @@ mod tests {
             let topology = match which {
                 0 => Topology::Crossbar,
                 1 => Topology::Ring,
-                2 => Topology::MultiChip {
+                _ => Topology::MultiChip {
                     workers_per_node: per,
                     inter_node_hops: inter,
-                },
-                _ => Topology::Fleet {
-                    workers_per_chip: per,
-                    neighbor_hops: inter,
                 },
             };
             let noc = Noc::new(topology, n, raw_hop);
@@ -1297,49 +1171,5 @@ mod tests {
             }
             prop_assert_eq!(noc.min_hop_latency(), global_min, "global {:?}", topology);
         }
-    }
-
-    /// Fleet wire codecs round-trip the exact structures the chip processes
-    /// exchange: packets, detached epoch links (with queued deliveries,
-    /// staged sends, polls and issue-ledger state), and folded batches.
-    #[test]
-    fn wire_codecs_round_trip_epoch_state() {
-        use bionicdb_fpga::wire::{decode, encode};
-
-        let pkt = req_pkt(1, 2);
-        assert_eq!(decode::<Packet>(&encode(&pkt)), pkt);
-        let resp = Packet {
-            src: PartitionId(2),
-            dst: PartitionId(1),
-            seq: 7,
-            payload: Payload::Response(DbResponse {
-                cp: CpSlot {
-                    worker: PartitionId(1),
-                    index: 3,
-                },
-                value: -9,
-            }),
-        };
-        assert_eq!(decode::<Packet>(&encode(&resp)), resp);
-
-        // Populate links with real traffic so queues, staged sends, polls
-        // and the issue ledger are all non-trivial.
-        let mut noc = Noc::new(Topology::Ring, 3, 3);
-        noc.send(1, req_pkt(2, 0)).unwrap();
-        let mut links = noc.begin_epoch();
-        for l in &mut links {
-            l.begin_round(Vec::new());
-        }
-        Link::send(&mut links[0], 5, req_pkt(0, 2)).unwrap();
-        assert_eq!(Link::send(&mut links[0], 5, req_pkt(0, 1)), Err(NocBusy));
-        Link::poll(&mut links[1], 6, PartitionId(1));
-        for l in &links {
-            assert_eq!(&decode::<EpochLink>(&encode(l)), l);
-        }
-        let mut batch = StagedBatch::default();
-        for l in &mut links {
-            batch.fold(l.harvest());
-        }
-        assert_eq!(decode::<StagedBatch>(&encode(&batch)), batch);
     }
 }

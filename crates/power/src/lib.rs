@@ -15,7 +15,6 @@
 //!   scanners, datacenter-grade chips).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 use bionicdb_fpga::FpgaConfig;
 

@@ -28,7 +28,6 @@
 //! the same trick BionicDB's byte keys use).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod db;
 pub mod index;

@@ -217,60 +217,6 @@ pub struct SoftcoreObs {
     pub abort_reasons: AbortReasons,
 }
 
-impl bionicdb_fpga::wire::Wire for SoftcoreStats {
-    fn put(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.cpu_insts,
-            self.db_insts,
-            self.committed,
-            self.aborted,
-            self.batches,
-            self.switches,
-            self.cp_stall_cycles,
-            self.mem_stall_cycles,
-        ] {
-            v.put(out);
-        }
-    }
-    fn get(r: &mut bionicdb_fpga::wire::Reader<'_>) -> Self {
-        SoftcoreStats {
-            cpu_insts: r.get(),
-            db_insts: r.get(),
-            committed: r.get(),
-            aborted: r.get(),
-            batches: r.get(),
-            switches: r.get(),
-            cp_stall_cycles: r.get(),
-            mem_stall_cycles: r.get(),
-        }
-    }
-}
-
-impl bionicdb_fpga::wire::Wire for SoftcoreObs {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.queue_wait.put(out);
-        self.logic.put(out);
-        self.commit_wait.put(out);
-        self.commit.put(out);
-        self.txn_commit.put(out);
-        self.txn_abort.put(out);
-        self.db_op.put(out);
-        self.abort_reasons.put(out);
-    }
-    fn get(r: &mut bionicdb_fpga::wire::Reader<'_>) -> Self {
-        SoftcoreObs {
-            queue_wait: r.get(),
-            logic: r.get(),
-            commit_wait: r.get(),
-            commit: r.get(),
-            txn_commit: r.get(),
-            txn_abort: r.get(),
-            db_op: r.get(),
-            abort_reasons: r.get(),
-        }
-    }
-}
-
 impl SoftcoreObs {
     /// Fold `other`'s counters into `self` (exact; see
     /// [`LatencyHistogram::merge`]).

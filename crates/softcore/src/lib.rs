@@ -21,7 +21,6 @@
 //!   paper §4.5 and the register-renaming batch grouping.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod asm;
 pub mod builder;

@@ -104,95 +104,6 @@ pub struct DbResponse {
     pub value: i64,
 }
 
-use bionicdb_fpga::wire::{Reader, Wire};
-
-impl Wire for PartitionId {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        PartitionId(r.get())
-    }
-}
-
-impl Wire for CpSlot {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.worker.put(out);
-        self.index.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        CpSlot {
-            worker: r.get(),
-            index: r.get(),
-        }
-    }
-}
-
-impl Wire for DbOp {
-    fn put(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            DbOp::Insert => 0,
-            DbOp::Search => 1,
-            DbOp::Scan => 2,
-            DbOp::Update => 3,
-            DbOp::Remove => 4,
-        };
-        tag.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        match u8::get(r) {
-            0 => DbOp::Insert,
-            1 => DbOp::Search,
-            2 => DbOp::Scan,
-            3 => DbOp::Update,
-            4 => DbOp::Remove,
-            t => panic!("bad DbOp tag {t}"),
-        }
-    }
-}
-
-impl Wire for DbRequest {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.op.put(out);
-        self.table.0.put(out);
-        self.key_addr.put(out);
-        self.payload_addr.put(out);
-        self.scan_count.put(out);
-        self.out_addr.put(out);
-        self.ts.put(out);
-        self.cp.put(out);
-        self.home.put(out);
-        self.batch_group.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        DbRequest {
-            op: r.get(),
-            table: TableId(r.get()),
-            key_addr: r.get(),
-            payload_addr: r.get(),
-            scan_count: r.get(),
-            out_addr: r.get(),
-            ts: r.get(),
-            cp: r.get(),
-            home: r.get(),
-            batch_group: r.get(),
-        }
-    }
-}
-
-impl Wire for DbResponse {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.cp.put(out);
-        self.value.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Self {
-        DbResponse {
-            cp: r.get(),
-            value: r.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

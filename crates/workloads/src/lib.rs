@@ -37,7 +37,6 @@
 //! per experiment.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod abi;
 pub mod serve;

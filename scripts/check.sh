@@ -69,10 +69,10 @@ gate "clippy (deny warnings)" \
 gate "rustdoc (deny warnings: no dangling or private intra-doc links)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
-gate "chaos smoke (fixed-seed fault matrix incl. fleet-barrier crash)" \
+gate "chaos smoke (fixed-seed fault matrix incl. threaded-barrier crash)" \
     cargo run --release --locked -p bionicdb-bench --bin chaos -- --smoke
 
-gate "goldencheck (fixed-seed goldens + strict/fast-forward/threaded/fleet byte-identity, one table of checks)" \
+gate "goldencheck (fixed-seed goldens + strict/fast-forward/threaded byte-identity, one table of checks)" \
     cargo run --release --locked -p bionicdb-bench --bin goldencheck
 
 gate "saturate (graceful-degradation claim: controlled >= 85% of peak at 2x, baseline < 50%)" \
