@@ -98,7 +98,7 @@ impl RecordHeader {
 
 /// Per-partition physical state of one table: where its directory lives and
 /// the heap region new records are allocated from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TableState {
     /// Logical schema (copied from the catalogue at build time).
     pub meta: TableMeta,

@@ -60,7 +60,7 @@ pub use config::{BionicConfig, NocRetryConfig};
 pub use machine::{LaneActivity, Machine, MachineStats, RetryBudget, RetryOutcome, SystemBuilder};
 pub use recovery::{Checkpoint, CommandLog, DurableImage, LogRecord, RecoveryError};
 pub use report::{MachineReport, WorkerReport};
-pub use storage::Loader;
+pub use storage::{LoadedImage, Loader};
 
 // Re-export the pieces users need to drive the system.
 pub use bionicdb_fpga::{FaultBudget, FaultPlan, FpgaConfig};

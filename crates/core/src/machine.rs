@@ -24,7 +24,7 @@ use bionicdb_softcore::{PartitionId, SoftcoreStats, TxnBlock};
 use crate::config::BionicConfig;
 use crate::recovery::DurableImage;
 use crate::report::MachineReport;
-use crate::storage::{Loader, Partition};
+use crate::storage::{LoadedImage, Loader, Partition};
 use crate::worker::PartitionWorker;
 
 mod par;
@@ -445,6 +445,32 @@ impl Machine {
     /// Host-side bulk loader for `worker`'s partition.
     pub fn loader(&mut self, worker: usize) -> Loader<'_> {
         Loader::new(&mut self.dram, &mut self.partitions[worker])
+    }
+
+    /// The machine's loaded database: its allocated DRAM frames and every
+    /// table's heap. Take it once bulk loading is done, before any block
+    /// is allocated or written.
+    pub fn loaded_image(&self) -> LoadedImage {
+        LoadedImage::capture(&self.dram, &self.partitions)
+    }
+
+    /// Whether `image` can be restored into this machine: the same DRAM
+    /// capacity and the same tables at the same addresses in every
+    /// partition.
+    pub fn fits_image(&self, image: &LoadedImage) -> bool {
+        image.fits(&self.dram, &self.partitions)
+    }
+
+    /// Restore a loaded database taken with [`Machine::loaded_image`]:
+    /// afterwards this machine's DRAM image, digest and table heaps equal
+    /// those of the machine it was taken from, as if it had run the same
+    /// load itself.
+    ///
+    /// # Panics
+    /// Panics unless the machine [fits the image](Machine::fits_image) and
+    /// has no allocated DRAM frame (a freshly built machine has none).
+    pub fn restore_image(&mut self, image: &LoadedImage) {
+        image.restore(&mut self.dram, &mut self.partitions);
     }
 
     // ----- simulation control -----

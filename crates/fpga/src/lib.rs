@@ -44,8 +44,8 @@ pub mod stats;
 pub mod timing;
 
 pub use dram::{
-    mlp_bucket, Dram, DramStats, MemData, MemKind, MemRequest, MemResponse, PortId, PortStats,
-    Tag, MLP_BUCKETS,
+    mlp_bucket, Dram, DramFrames, DramStats, MemData, MemKind, MemRequest, MemResponse, PortId,
+    PortStats, Tag, MLP_BUCKETS,
 };
 pub use obs::{
     AbortReasons, ChromeTraceSink, LatencyHistogram, NullSink, TraceSink, TxnEvent,

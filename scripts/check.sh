@@ -88,7 +88,7 @@ gate "BENCH_serve_hw.json unchanged (the saturate hw run is fully simulated)" \
     same_as_committed BENCH_serve_hw.json
 
 gate "parsim full study (append results/bench_history.jsonl)" \
-    cargo run --release --locked -p bionicdb-bench --bin simperf -- --par --out BENCH_parsim.json
+    cargo run --release --locked -p bionicdb-bench --bin simperf -- --par --out "$FRESH/BENCH_parsim.json"
 
 gate "batchsweep full study (2x-at-width-8 assertion, append history)" \
     cargo run --release --locked -p bionicdb-bench --bin batchsweep -- --out "$FRESH/BENCH_batch.json"
