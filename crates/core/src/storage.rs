@@ -14,15 +14,12 @@
 //! [`LoadedImage`] copies a finished load into other machines of the same
 //! layout, so a process need not run the same load twice.
 
-use std::ops::Range;
-
 use bionicdb_coproc::layout::{
     read_header, RecordHeader, TableState, TOWER_HEIGHT, TOWER_NEXTS, TUPLE_HEADER, TUPLE_NEXT,
     TUPLE_PAYLOAD,
 };
 use bionicdb_coproc::sdbm::{bucket_of, sdbm_hash};
 use bionicdb_coproc::skiplist::{tower_height, MAX_SKIP_LEVEL};
-use bionicdb_fpga::dram::FRAME_SIZE;
 use bionicdb_fpga::{Dram, DramFrames, Region};
 use bionicdb_softcore::catalogue::{Catalogue, IndexKind};
 use bionicdb_softcore::{IndexKey, PartitionId, TableId};
@@ -143,17 +140,12 @@ impl LoadedImage {
 
 /// Host-side bulk loader for one partition.
 ///
-/// Hold one `Loader` across a bulk load. Hash inserts are *staged*: per
-/// table it keeps the bucket heads in host memory and the newest tuples in
-/// one contiguous run, writes a run to DRAM in one host write when it fills
-/// or stops being contiguous, and writes each chunk of bucket heads it
-/// changed once, with their final values, when it flushes. It
-/// flushes when dropped and before [`Loader::lookup`] or
-/// [`Loader::payload`] read DRAM. For
-/// skiplists it keeps a per-table *finger* (the last key inserted and its
+/// Each insert goes straight to DRAM: a hash tuple is one host write and
+/// its new bucket head another. Hold one `Loader` across a bulk load: it
+/// keeps a per-table skiplist *finger* (the last key inserted and its
 /// neighbours at every level), so keys loaded in ascending order cost a
 /// constant number of host accesses instead of a walk from the head
-/// through every level; tower writes are not staged.
+/// through every level.
 pub struct Loader<'a> {
     dram: &'a mut Dram,
     partition: &'a mut Partition,
@@ -162,159 +154,9 @@ pub struct Loader<'a> {
     /// borrows of the partition and its DRAM, so nothing else can relink a
     /// tower behind its back; they therefore never outlive the loader.
     fingers: Vec<Option<Finger>>,
-    /// Staged hash inserts indexed by `TableId`, grown on first use. Exact
-    /// for the same reason as the fingers.
-    staged: Vec<Option<Staged>>,
-    /// Scratch buffer each tower is assembled in, so it reaches DRAM in
+    /// Scratch buffer each record is assembled in, so it reaches DRAM in
     /// one host write.
     record: Vec<u8>,
-}
-
-/// Bytes of staged tuples one hash table holds before it writes them out:
-/// large enough to cover dozens of frames per host write, small enough to
-/// stay a heap allocation rather than a fresh mapping.
-const RUN_BYTES: usize = 16 << 10;
-
-/// Bucket heads in one chunk of a directory: the heads one DRAM frame
-/// holds. The loader reads heads a chunk at a time and writes a changed
-/// chunk whole, so it touches exactly the frames that head-by-head
-/// accesses would.
-const CHUNK_HEADS: usize = FRAME_SIZE / 8;
-
-/// Marks a chunk of the directory no insert has touched yet.
-const UNREAD: u32 = u32::MAX;
-
-/// One chunk of bucket heads, read from DRAM when an insert first touched
-/// it: word `i` of `heads` is word `i` of its frame.
-struct Chunk {
-    heads: [u64; CHUNK_HEADS],
-    /// The words of `heads` that are bucket heads of this directory.
-    words: Range<usize>,
-    /// DRAM address of word `words.start`.
-    addr: u64,
-    /// Changed since the last flush.
-    dirty: bool,
-}
-
-/// One hash table's inserts not yet in DRAM.
-struct Staged {
-    /// Per chunk of the directory, its index in `chunks`, or [`UNREAD`].
-    slots: Vec<u32>,
-    /// The chunks touched so far, in the order first touched; chunks no
-    /// insert reaches are never read. Room for every chunk is reserved,
-    /// unfilled, up front, so the chunks never move as a load grows.
-    chunks: Vec<Chunk>,
-    /// Words of the directory's first chunk that lie before the
-    /// directory, which need not start on a frame boundary.
-    skew: usize,
-    /// Address of the first byte of `run`.
-    run_base: u64,
-    /// Whole tuples `next | header | payload`, back to back in the heap;
-    /// written out before it holds more than [`RUN_BYTES`].
-    run: Vec<u8>,
-}
-
-impl Staged {
-    fn new(state: &TableState) -> Self {
-        let buckets = state.meta.hash_buckets as usize;
-        let skew = (state.dir_addr as usize % FRAME_SIZE) / 8;
-        let n = (skew + buckets).div_ceil(CHUNK_HEADS);
-        Staged {
-            slots: vec![UNREAD; n],
-            chunks: Vec::with_capacity(n),
-            skew,
-            run_base: 0,
-            run: Vec::new(),
-        }
-    }
-
-    /// Set `bucket`'s head to `addr`; returns its previous head. The
-    /// bucket's chunk is read from DRAM the first time it is touched.
-    fn set_head(&mut self, dram: &Dram, state: &TableState, bucket: usize, addr: u64) -> u64 {
-        let (c, w) = (
-            (self.skew + bucket) / CHUNK_HEADS,
-            (self.skew + bucket) % CHUNK_HEADS,
-        );
-        if self.slots[c] == UNREAD {
-            self.read_chunk(dram, state, c);
-        }
-        let chunk = &mut self.chunks[self.slots[c] as usize];
-        chunk.dirty = true;
-        std::mem::replace(&mut chunk.heads[w], addr)
-    }
-
-    /// Read chunk `c` of the directory from DRAM and hold it.
-    #[cold]
-    fn read_chunk(&mut self, dram: &Dram, state: &TableState, c: usize) {
-        let first = c * CHUNK_HEADS;
-        let words = self.skew.saturating_sub(first)
-            ..(self.skew + state.meta.hash_buckets as usize - first).min(CHUNK_HEADS);
-        let addr = state.bucket_addr((first + words.start - self.skew) as u64);
-        let mut buf = [0u8; FRAME_SIZE];
-        let bytes = &mut buf[8 * words.start..8 * words.end];
-        dram.read_into(addr, bytes);
-        let mut heads = [0; CHUNK_HEADS];
-        for (head, b) in heads[words.clone()].iter_mut().zip(bytes.chunks_exact(8)) {
-            *head = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        }
-        self.slots[c] = self.chunks.len() as u32;
-        self.chunks.push(Chunk {
-            heads,
-            words,
-            addr,
-            dirty: false,
-        });
-    }
-
-    /// Append the tuple at `addr`, made of `parts`, to the run; the run is
-    /// written out first if the tuple does not follow it or would overflow
-    /// it.
-    fn push_tuple(&mut self, dram: &mut Dram, addr: u64, parts: [&[u8]; 3]) {
-        let size: usize = parts.iter().map(|p| p.len()).sum();
-        if addr != self.run_base + self.run.len() as u64 || self.run.len() + size > RUN_BYTES {
-            self.write_run(dram);
-            self.run_base = addr;
-        }
-        if self.run.len() + size > self.run.capacity() {
-            // A loader that stages one tuple allocates room for one; one
-            // that stages more grows the run straight to its full size
-            // rather than through every doubling.
-            let room = if self.run.capacity() == 0 {
-                size
-            } else {
-                RUN_BYTES
-            };
-            self.run.reserve_exact(room - self.run.len());
-        }
-        for part in parts {
-            self.run.extend_from_slice(part);
-        }
-    }
-
-    fn write_run(&mut self, dram: &mut Dram) {
-        if !self.run.is_empty() {
-            dram.host_write(self.run_base, &self.run);
-            self.run.clear();
-        }
-    }
-
-    /// Write the run, then every changed chunk of heads, and keep the
-    /// heads.
-    fn flush(&mut self, dram: &mut Dram) {
-        self.write_run(dram);
-        for chunk in self.chunks.iter_mut().filter(|c| c.dirty) {
-            let mut buf = [0u8; FRAME_SIZE];
-            let bytes = &mut buf[..8 * chunk.words.len()];
-            for (b, head) in bytes
-                .chunks_exact_mut(8)
-                .zip(&chunk.heads[chunk.words.clone()])
-            {
-                b.copy_from_slice(&head.to_le_bytes());
-            }
-            dram.host_write(chunk.addr, bytes);
-            chunk.dirty = false;
-        }
-    }
 }
 
 /// Where the last inserted key sits in one skiplist: at every level, the
@@ -343,15 +185,7 @@ impl<'a> Loader<'a> {
             dram,
             partition,
             fingers: Vec::new(),
-            staged: Vec::new(),
             record: Vec::new(),
-        }
-    }
-
-    /// Write every staged hash insert to DRAM.
-    fn flush(&mut self) {
-        for staged in self.staged.iter_mut().flatten() {
-            staged.flush(self.dram);
         }
     }
 
@@ -371,20 +205,14 @@ impl<'a> Loader<'a> {
             "key length must match schema"
         );
         let key = IndexKey::from_bytes(key);
-        let t = table.0 as usize;
+        self.record.clear();
         match state.meta.kind {
-            IndexKind::Hash => {
-                if self.staged.len() <= t {
-                    self.staged.resize_with(t + 1, || None);
-                }
-                let staged = self.staged[t].get_or_insert_with(|| Staged::new(state));
-                Self::hash_insert(self.dram, state, staged, key, payload)
-            }
+            IndexKind::Hash => Self::hash_insert(self.dram, state, &mut self.record, key, payload),
             IndexKind::Skiplist => {
+                let t = table.0 as usize;
                 if self.fingers.len() <= t {
                     self.fingers.resize_with(t + 1, || None);
                 }
-                self.record.clear();
                 Self::skiplist_insert(
                     self.dram,
                     state,
@@ -406,24 +234,25 @@ impl<'a> Loader<'a> {
         }
     }
 
-    /// Stage the tuple `next | header | payload` at the end of the table's
-    /// run and make it its bucket's head.
+    /// Write the tuple `next | header | payload` (assembled in `record`) in
+    /// one host write, then point its bucket at it.
     fn hash_insert(
         dram: &mut Dram,
         state: &mut TableState,
-        staged: &mut Staged,
+        record: &mut Vec<u8>,
         key: IndexKey,
         payload: &[u8],
     ) -> u64 {
         let bucket = bucket_of(sdbm_hash(key.as_bytes()), state.meta.hash_buckets);
+        let bucket_addr = state.bucket_addr(bucket);
+        let head = dram.host_read_u64(bucket_addr);
         let addr = state.alloc_tuple();
-        let head = staged.set_head(dram, state, bucket as usize, addr);
-        let header = Self::header(key).encode();
-        debug_assert_eq!(
-            (8 + header.len() + payload.len()) as u64,
-            state.tuple_size()
-        );
-        staged.push_tuple(dram, addr, [&head.to_le_bytes(), &header, payload]);
+        record.extend_from_slice(&head.to_le_bytes());
+        record.extend_from_slice(&Self::header(key).encode());
+        record.extend_from_slice(payload);
+        debug_assert_eq!(record.len() as u64, state.tuple_size());
+        dram.host_write(addr + TUPLE_NEXT, record);
+        dram.host_write_u64(bucket_addr, addr);
         addr
     }
 
@@ -497,9 +326,8 @@ impl<'a> Loader<'a> {
     }
 
     /// Host-side point lookup (untimed), for verification: returns the
-    /// tuple address. Flushes staged inserts first.
-    pub fn lookup(&mut self, table: TableId, key: &[u8]) -> Option<u64> {
-        self.flush();
+    /// tuple address.
+    pub fn lookup(&self, table: TableId, key: &[u8]) -> Option<u64> {
         let state = &self.partition.tables[table.0 as usize];
         let key = IndexKey::from_bytes(key);
         match state.meta.kind {
@@ -538,10 +366,8 @@ impl<'a> Loader<'a> {
         }
     }
 
-    /// Read a record's payload bytes by tuple/tower address. Flushes
-    /// staged inserts first.
-    pub fn payload(&mut self, table: TableId, record_addr: u64) -> Vec<u8> {
-        self.flush();
+    /// Read a record's payload bytes by tuple/tower address.
+    pub fn payload(&self, table: TableId, record_addr: u64) -> Vec<u8> {
         let state = &self.partition.tables[table.0 as usize];
         match state.meta.kind {
             IndexKind::Hash => self
@@ -554,16 +380,6 @@ impl<'a> Loader<'a> {
                     state.meta.payload_len as usize,
                 )
             }
-        }
-    }
-}
-
-impl Drop for Loader<'_> {
-    /// Write out what is still staged. Skipped while a panic unwinds, so a
-    /// failed load cannot panic a second time and abort.
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.flush();
         }
     }
 }

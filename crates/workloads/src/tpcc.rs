@@ -1158,7 +1158,7 @@ mod tests {
         let d_key_raw = sys.machine.read_block_u64(blk, NO_D_KEY);
         let okey = sys.machine.read_block_u64(blk, NO_OKEY_BUF);
         let tables = sys.tables;
-        let mut loader = sys.machine.loader(0);
+        let loader = sys.machine.loader(0);
         let oaddr = loader
             .lookup(tables.orders, &okey.to_le_bytes())
             .expect("order row");
@@ -1204,7 +1204,7 @@ mod tests {
         let amount = sys.machine.read_block_u64(blk, PAY_AMOUNT);
         let w_key = sys.machine.read_block_u64(blk, PAY_W_KEY);
         let tables = sys.tables;
-        let mut loader = sys.machine.loader(1);
+        let loader = sys.machine.loader(1);
         let waddr = loader
             .lookup(tables.warehouse, &w_key.to_le_bytes())
             .unwrap();
@@ -1234,7 +1234,7 @@ mod tests {
         let c_key = sys.machine.read_block_u64(blk, PAY_C_KEY);
         let amount = sys.machine.read_block_u64(blk, PAY_AMOUNT);
         let tables = sys.tables;
-        let mut loader = sys.machine.loader(1);
+        let loader = sys.machine.loader(1);
         let caddr = loader
             .lookup(tables.customer, &c_key.to_le_bytes())
             .unwrap();
@@ -1319,7 +1319,7 @@ mod tests {
         let mut advanced = 0;
         for w in 0..2u64 {
             for d in 0..sys.spec.districts_per_warehouse {
-                let mut loader = sys.machine.loader(w as usize);
+                let loader = sys.machine.loader(w as usize);
                 let daddr = loader
                     .lookup(tables.district, &district_key(w, d).to_le_bytes())
                     .unwrap();

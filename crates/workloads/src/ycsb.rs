@@ -757,7 +757,7 @@ mod tests {
             let (key_off, val_off) = homed_offs(i);
             let key = y.machine.read_block(blk, key_off, 8);
             let val = y.machine.read_block_u64(blk, val_off);
-            let mut loader = y.machine.loader(0);
+            let loader = y.machine.loader(0);
             let addr = loader.lookup(table, &key).expect("key present");
             let payload = loader.payload(table, addr);
             assert_eq!(
@@ -788,7 +788,7 @@ mod tests {
         let base = y.spec.records_per_partition;
         let table = y.table;
         let found = {
-            let mut loader = y.machine.loader(0);
+            let loader = y.machine.loader(0);
             (0..y.kv_ops as u64).all(|i| loader.lookup(table, &(base + i).to_le_bytes()).is_some())
         };
         assert!(found, "all inserted keys present and committed");

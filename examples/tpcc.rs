@@ -93,7 +93,7 @@ fn main() {
         for d in 0..sys.spec.districts_per_warehouse {
             let key = bionicdb_workloads::spec::district_key(w as u64, d);
             let tables = sys.tables;
-            let mut loader = sys.machine.loader(w);
+            let loader = sys.machine.loader(w);
             let addr = loader.lookup(tables.district, &key.to_le_bytes()).unwrap();
             let pay = loader.payload(tables.district, addr);
             orders += u64::from_le_bytes(pay[..8].try_into().unwrap()) - 1;

@@ -11,10 +11,10 @@
 //! 3. The `Loader`'s image equals, byte for byte, the image of a reference
 //!    writer kept here: a walk from the head per key and one host write
 //!    per field.
-//! 4. Staged hash loads — inserts interleaved across tables, lookups and
-//!    payload reads in the middle of a load, a new `Loader` over buckets
-//!    an earlier one filled — return the same addresses and leave the
-//!    same image as writing each record as it is inserted.
+//! 4. Hash loads — inserts interleaved across tables, lookups and payload
+//!    reads in the middle of a load, a new `Loader` over buckets an
+//!    earlier one filled — return the same addresses and leave the same
+//!    image as the reference writer.
 //! 5. YCSB's `ycsb_e` skiplist, loaded at the first skiplist submission,
 //!    leaves the same DRAM image and record addresses as loading it at
 //!    build time beside the hash table, key by key; a run that never
@@ -402,7 +402,7 @@ fn hash_partition() -> (Dram, Partition) {
     (Dram::new(&FpgaConfig::default(), REF_DRAM), part)
 }
 
-/// One step of a staged hash load.
+/// One step of a hash load.
 #[derive(Debug, Clone, Copy)]
 enum HashStep {
     /// Insert `key` into a table.
@@ -448,7 +448,7 @@ proptest! {
                 HashStep::Lookup(t, k) => {
                     let table = bionicdb::TableId(t);
                     let got = loader.lookup(table, &k.to_le_bytes());
-                    let mut reference = Loader::new(&mut ref_dram, &mut ref_part);
+                    let reference = Loader::new(&mut ref_dram, &mut ref_part);
                     prop_assert_eq!(got, reference.lookup(table, &k.to_le_bytes()));
                     if let Some(addr) = got {
                         prop_assert_eq!(loader.payload(table, addr), reference.payload(table, addr));
@@ -630,7 +630,7 @@ fn point_reads_leave_the_skiplist_unloaded() {
                 "worker {w} level {level}"
             );
         }
-        let mut loader = y.machine.loader(w);
+        let loader = y.machine.loader(w);
         assert!(loader.lookup(y.table, &0u64.to_le_bytes()).is_some());
         assert!(loader.lookup(y.scan_table, &0u64.to_be_bytes()).is_none());
     }
@@ -794,6 +794,13 @@ fn restored_variants_equal_fresh_loads() {
     };
     check_restore("wide payloads", || {
         ycsb_on(BionicConfig::small(2), wide.clone())
+    });
+    // A restored machine whose `ycsb_e` skiplist loads at its first scan.
+    check_restore("scan", || {
+        Box::new(YcsbWorkload {
+            sys: YcsbBionic::build(BionicConfig::small(2), YcsbSpec::tiny(), YCSB_KV_OPS),
+            kind: YcsbKind::Scan,
+        })
     });
 }
 
