@@ -184,7 +184,9 @@ impl Rig {
 /// LCG over the key space: deterministic, cheap, and scattered enough that
 /// consecutive probes land in unrelated buckets/towers.
 fn lcg_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     *state >> 33
 }
 
@@ -257,7 +259,11 @@ pub fn run_point(kind: IndexKind, width: usize, records: u64, probes: u64) -> Sw
 
 /// Run the full sweep: both index kinds × [`WIDTHS`].
 pub fn sweep(quick: bool) -> Vec<SweepPoint> {
-    let (records, probes) = if quick { (2_048, 1_024) } else { (8_192, 8_192) };
+    let (records, probes) = if quick {
+        (2_048, 1_024)
+    } else {
+        (8_192, 8_192)
+    };
     let mut points = Vec::new();
     for kind in [IndexKind::Hash, IndexKind::Skiplist] {
         for width in WIDTHS {

@@ -55,7 +55,10 @@ fn main() {
         let mut y = YcsbBionic::build(cfg, spec, 60);
         let t = bionic_ycsb_tput(&mut y, YcsbKind::ReadLocal, wave);
         let row = render_machine_row(&format!("traverse_{stages}"), Some(t), &y.machine);
-        ((format!("{stages} traverse stage(s)"), t.per_sec / 1e3), row)
+        (
+            (format!("{stages} traverse stage(s)"), t.per_sec / 1e3),
+            row,
+        )
     });
     let (rows, json_rows): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     json_rows.into_iter().for_each(|r| json.push_raw(r));

@@ -31,7 +31,10 @@ const SPEC: ArgSpec = ArgSpec {
 fn main() {
     let args = BenchArgs::from_env(&SPEC);
     let quick = args.quick();
-    let out_path = args.value("--out").unwrap_or("BENCH_batch.json").to_string();
+    let out_path = args
+        .value("--out")
+        .unwrap_or("BENCH_batch.json")
+        .to_string();
     let history_path = args
         .value("--history")
         .unwrap_or(history::DEFAULT_PATH)
@@ -54,8 +57,18 @@ fn main() {
         ]);
     }
     print_table(
-        &format!("Batched traversal sweep ({} probes/point, {wall_secs:.2}s wall)", points[0].probes),
-        &["point", "probes/kcycle", "Mprobes/s (sim)", "reads", "dedup saved", "mlp peak"],
+        &format!(
+            "Batched traversal sweep ({} probes/point, {wall_secs:.2}s wall)",
+            points[0].probes
+        ),
+        &[
+            "point",
+            "probes/kcycle",
+            "Mprobes/s (sim)",
+            "reads",
+            "dedup saved",
+            "mlp peak",
+        ],
         &rows,
     );
 

@@ -54,7 +54,10 @@ fn main() {
             r.total_txns,
             r.salvaged
         );
-        json.value_row(&format!("crash_{w:?}_committed"), r.committed_at_crash as f64);
+        json.value_row(
+            &format!("crash_{w:?}_committed"),
+            r.committed_at_crash as f64,
+        );
         scenarios += 1;
         let r = run_crash(w, 700, true, 0xC4A5);
         println!(

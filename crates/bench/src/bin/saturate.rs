@@ -214,7 +214,14 @@ fn main() {
         print_table(
             kind.name(),
             &[
-                "load", "mode", "offered/s", "goodput/s", "p50 ns", "p95 ns", "p99 ns", "shed",
+                "load",
+                "mode",
+                "offered/s",
+                "goodput/s",
+                "p50 ns",
+                "p95 ns",
+                "p99 ns",
+                "shed",
                 "timeout",
             ],
             &rows,

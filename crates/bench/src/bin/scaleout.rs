@@ -111,7 +111,10 @@ fn build_chips(workers: usize, chips: usize, hops: u64) -> YcsbBionic {
 /// rows to `out_path`, history rows (full runs only) for `benchdiff`.
 fn run_chips_study(args: &BenchArgs, chips: usize) {
     let wave = args.wave(4, 12);
-    let out_path = args.value("--out").unwrap_or("BENCH_scaleout.json").to_string();
+    let out_path = args
+        .value("--out")
+        .unwrap_or("BENCH_scaleout.json")
+        .to_string();
     let history_path = args
         .value("--history")
         .unwrap_or(history::DEFAULT_PATH)

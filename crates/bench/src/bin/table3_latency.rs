@@ -91,9 +91,7 @@ fn measure_onchip_pair(fpga: &FpgaConfig) -> OnchipPair {
 }
 
 fn main() {
-    let _ = bionicdb_bench::BenchArgs::from_env(&bionicdb_bench::ArgSpec::shared(
-        "table3_latency",
-    ));
+    let _ = bionicdb_bench::BenchArgs::from_env(&bionicdb_bench::ArgSpec::shared("table3_latency"));
     let fpga = FpgaConfig::default();
     let cpu = CpuConfig::default();
     let mut json = JsonOut::from_env("table3_latency");
@@ -171,6 +169,9 @@ mod tests {
         let pair = measure_onchip_pair(&fpga);
         assert_eq!(pair.t_req, fpga.noc_hop_latency);
         assert_eq!(pair.t_pair, 2 * fpga.noc_hop_latency);
-        assert_eq!(pair.t_pair, 6, "default config: 3-cycle hop, 6 for the pair");
+        assert_eq!(
+            pair.t_pair, 6,
+            "default config: 3-cycle hop, 6 for the pair"
+        );
     }
 }

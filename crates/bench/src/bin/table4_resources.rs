@@ -9,9 +9,8 @@ use bionicdb_power::{
 };
 
 fn main() {
-    let _ = bionicdb_bench::BenchArgs::from_env(&bionicdb_bench::ArgSpec::shared(
-        "table4_resources",
-    ));
+    let _ =
+        bionicdb_bench::BenchArgs::from_env(&bionicdb_bench::ArgSpec::shared("table4_resources"));
     let cfg = FpgaConfig::default();
     let workers = 4;
     let rows_data = utilization(workers, &cfg);

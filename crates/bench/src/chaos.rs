@@ -408,7 +408,11 @@ fn run_crash_inner(
     for &(w, blk) in &blocks {
         clean_log.capture(clean.machine(), w, blk);
     }
-    assert_eq!(clean_log.len(), blocks.len(), "clean twin commits everything");
+    assert_eq!(
+        clean_log.len(),
+        blocks.len(),
+        "clean twin commits everything"
+    );
 
     // 2. Crash run: identical machine + batch, power loss mid-run. The
     // hook is the durable medium: it snapshots committed work as log bytes
@@ -431,8 +435,7 @@ fn run_crash_inner(
                 let log_bytes = if torn && !log.is_empty() {
                     // The crash caught the last record's append mid-write:
                     // its 8-byte frame landed, plus one byte of body.
-                    let tear =
-                        FaultPlan::none().torn_log_write(log.len() as u64 - 1, 9);
+                    let tear = FaultPlan::none().torn_log_write(log.len() as u64 - 1, 9);
                     log.to_bytes_faulted(&tear)
                 } else {
                     log.to_bytes()
@@ -448,7 +451,10 @@ fn run_crash_inner(
         .machine()
         .set_fault_plan(FaultPlan::none().crash_at(crash_cycle));
     let resub = crashed.submit_batch(seed);
-    assert_eq!(resub, blocks, "identical build generates an identical batch");
+    assert_eq!(
+        resub, blocks,
+        "identical build generates an identical batch"
+    );
     drive_to_completion(&mut crashed, &blocks);
     assert!(crashed.machine().is_crashed(), "the crash fired");
     if sim_threads > 1 {

@@ -279,7 +279,11 @@ pub fn check(entries: &[Entry], tolerance: f64) -> Vec<Verdict> {
                 .find(|e| e.bench == key)
                 .expect("key came from entries")
                 .cycles_per_sec;
-            let ratio = if baseline == 0.0 { 1.0 } else { latest / baseline };
+            let ratio = if baseline == 0.0 {
+                1.0
+            } else {
+                latest / baseline
+            };
             // p99 gate: oldest vs newest entry *carrying* a p99 for the
             // key, so pre-schema lines neither gate nor get gated.
             let baseline_p99 = entries
@@ -375,8 +379,8 @@ mod tests {
         let entries = vec![
             entry("a", 100.0, 1),
             entry("b", 100.0, 2),
-            entry("a", 95.0, 3),  // -5%: inside 10% tolerance
-            entry("b", 80.0, 4),  // -20%: regression
+            entry("a", 95.0, 3), // -5%: inside 10% tolerance
+            entry("b", 80.0, 4), // -20%: regression
         ];
         let verdicts = check(&entries, DEFAULT_TOLERANCE);
         let a = verdicts.iter().find(|v| v.bench == "a").unwrap();
@@ -412,7 +416,9 @@ mod tests {
         assert_eq!(e.host_cpus, Some(host_cpus()));
         assert_eq!(e.host, Some(host_key()));
         assert!(host_key().ends_with(&format!("/{}", host_cpus())));
-        assert!(e.render().ends_with(&format!(",\"host_cpus\":{}}}", host_cpus())));
+        assert!(e
+            .render()
+            .ends_with(&format!(",\"host_cpus\":{}}}", host_cpus())));
     }
 
     #[test]
@@ -462,7 +468,10 @@ mod tests {
             with_p99("serve-hw-smallbank", 4010.0, 2, 1000.0),
         ];
         let verdicts = check(&entries, DEFAULT_TOLERANCE);
-        let sim = verdicts.iter().find(|v| v.bench == "serve-smallbank").unwrap();
+        let sim = verdicts
+            .iter()
+            .find(|v| v.bench == "serve-smallbank")
+            .unwrap();
         let hw = verdicts
             .iter()
             .find(|v| v.bench == "serve-hw-smallbank")
@@ -524,7 +533,9 @@ mod tests {
         assert_eq!(p.torn_tail, None);
         // A complete-but-unknown trailing line is forward-compatible junk,
         // not a torn tail — silently skipped, exactly as `parse` does.
-        let p = parse_salvage("{\"bench\":\"a\",\"cycles_per_sec\":10.000,\"unix_secs\":1}\n{\"other\":1}");
+        let p = parse_salvage(
+            "{\"bench\":\"a\",\"cycles_per_sec\":10.000,\"unix_secs\":1}\n{\"other\":1}",
+        );
         assert_eq!(p.entries.len(), 1);
         assert_eq!(p.torn_tail, None);
     }

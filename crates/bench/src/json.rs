@@ -28,9 +28,7 @@ impl JsonOut {
     pub fn from_env(bin: &str) -> JsonOut {
         JsonOut {
             bin: bin.to_string(),
-            path: crate::BenchArgs::raw_env()
-                .json_path()
-                .map(str::to_string),
+            path: crate::BenchArgs::raw_env().json_path().map(str::to_string),
             rows: Vec::new(),
         }
     }
@@ -293,7 +291,14 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_documents() {
         for bad in [
-            "{", "}", "{\"a\":}", "[1,]", "{\"a\" 1}", "tru", "1.2.3", "{} extra",
+            "{",
+            "}",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1.2.3",
+            "{} extra",
             "\"unterminated",
         ] {
             assert!(validate(bad).is_err(), "{bad} should be rejected");

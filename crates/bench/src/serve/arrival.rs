@@ -144,8 +144,9 @@ impl ArrivalProcess {
                 burst_rate,
                 mean_base_ns,
                 mean_burst_ns,
-            } => ArrivalProcess::mmpp(base_rate, burst_rate, mean_base_ns, mean_burst_ns)
-                .map(|_| ()),
+            } => {
+                ArrivalProcess::mmpp(base_rate, burst_rate, mean_base_ns, mean_burst_ns).map(|_| ())
+            }
         }
     }
 
@@ -201,9 +202,7 @@ impl ArrivalGen {
     /// number of times per call given the process parameters.
     pub fn next_gap_ns(&mut self, rng: &mut SmallRng) -> u64 {
         match self.process {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                exp_ns(rng, 1e9 / rate_per_sec)
-            }
+            ArrivalProcess::Poisson { rate_per_sec } => exp_ns(rng, 1e9 / rate_per_sec),
             ArrivalProcess::Mmpp {
                 base_rate,
                 burst_rate,
@@ -342,7 +341,9 @@ mod tests {
             let run = |seed| {
                 let mut g = ArrivalGen::new(p);
                 let mut rng = SmallRng::seed_from_u64(seed);
-                (0..1000).map(|_| g.next_gap_ns(&mut rng)).collect::<Vec<_>>()
+                (0..1000)
+                    .map(|_| g.next_gap_ns(&mut rng))
+                    .collect::<Vec<_>>()
             };
             assert_eq!(run(3), run(3));
             assert_ne!(run(3), run(4));

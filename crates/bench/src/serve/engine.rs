@@ -238,7 +238,9 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
     /// into the staging buffer) at `now`.
     fn dispatch_ready(&mut self, now: u64) {
         while self.free > 0 {
-            let Some(tk) = self.queue.take(now) else { break };
+            let Some(tk) = self.queue.take(now) else {
+                break;
+            };
             if self.cfg.enforce_deadline && now >= tk.deadline_ns {
                 self.sum.timed_out += 1;
                 continue;
@@ -285,10 +287,7 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
             // before the next scheduled event, so freed slots re-dispatch
             // at completion time, not at the next arrival.
             if self.engine.in_flight() > 0 {
-                let bound = self
-                    .heap
-                    .peek()
-                    .map_or(u64::MAX, |Reverse((t, _, _))| *t);
+                let bound = self.heap.peek().map_or(u64::MAX, |Reverse((t, _, _))| *t);
                 let completions = self.engine.advance(bound);
                 if !completions.is_empty() {
                     let mut latest = 0u64;
@@ -379,7 +378,10 @@ pub fn serve_with<E: ServeEngine>(engine: &mut E, cfg: &ServeConfig) -> ServeSum
         width,
     };
     lp.run(&mut rng_arr, &mut gen);
-    assert!(lp.staged.is_empty(), "staged tickets must flush before exit");
+    assert!(
+        lp.staged.is_empty(),
+        "staged tickets must flush before exit"
+    );
     assert_eq!(lp.engine.in_flight(), 0, "engine drained before exit");
 
     // Expired entries purged inside the queue never re-emerged: they are

@@ -460,7 +460,9 @@ mod tests {
         s.sojourn.record(500);
         s.assert_conserved();
         assert_eq!(s.render_json("x"), s.render_json("x"));
-        assert!(s.render_json("x").starts_with("{\"label\":\"x\",\"fresh\":10,"));
+        assert!(s
+            .render_json("x")
+            .starts_with("{\"label\":\"x\",\"fresh\":10,"));
     }
 
     #[test]

@@ -355,7 +355,10 @@ impl BatchEngine {
                             | PState::WaitNode(_)
                     )
                 });
-                if !hop_open && b.probes.iter().any(|p| matches!(p.state, PState::StagedNode(_)))
+                if !hop_open
+                    && b.probes
+                        .iter()
+                        .any(|p| matches!(p.state, PState::StagedNode(_)))
                 {
                     for p in &mut b.probes {
                         if let PState::StagedNode(a) = p.state {
@@ -514,7 +517,8 @@ impl BatchEngine {
                 let next = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
                 let hdr = RecordHeader::decode(&bytes[TUPLE_HEADER as usize..]);
                 if hdr.key == p.key {
-                    let r = cc::check_and_apply(dram, addr + TUPLE_HEADER, p.req.op, p.req.ts, addr);
+                    let r =
+                        cc::check_and_apply(dram, addr + TUPLE_HEADER, p.req.op, p.req.ts, addr);
                     p.result = Some(r);
                     p.state = PState::Done;
                 } else if next == 0 {

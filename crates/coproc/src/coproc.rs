@@ -294,8 +294,7 @@ impl IndexCoproc {
             let kind = tables[req.table.0 as usize].meta.kind;
             // Tagged read-set probes divert to the level-wise batch engine
             // of their index kind (inserts and scans keep the pipelines).
-            if req.batch_group != 0
-                && matches!(req.op, DbOp::Search | DbOp::Update | DbOp::Remove)
+            if req.batch_group != 0 && matches!(req.op, DbOp::Search | DbOp::Update | DbOp::Remove)
             {
                 let engine = match kind {
                     IndexKind::Hash => self.batch_hash.as_mut(),

@@ -231,9 +231,10 @@ impl HashPipeline {
                 .peek()
                 .is_some_and(|&(_, head)| head == 0 || self.headfetch_rd.can_issue())
             || !self.compare_in.is_empty()
-            || self.traverse.iter().any(|t| {
-                t.pending.is_some() || t.parked.is_some() || t.reader.has_ready()
-            });
+            || self
+                .traverse
+                .iter()
+                .any(|t| t.pending.is_some() || t.parked.is_some() || t.reader.has_ready());
         if busy {
             Some(now + 1)
         } else {

@@ -138,7 +138,10 @@ mod tests {
         r.poll(&mut dram);
         let (ctx, data) = r.pop_ready().unwrap();
         assert_eq!(ctx, "ctx-a");
-        assert_eq!(u64::from_le_bytes(data.as_slice().try_into().unwrap()), 0x55);
+        assert_eq!(
+            u64::from_le_bytes(data.as_slice().try_into().unwrap()),
+            0x55
+        );
         assert!(r.is_idle());
     }
 

@@ -369,7 +369,9 @@ impl Machine {
     /// byte-identical to a preload (see the `inject_equivalence`
     /// proptest).
     pub fn submit(&mut self, worker: usize, blk: TxnBlock) {
-        self.workers[worker].softcore.submit_at(blk.addr(), self.now);
+        self.workers[worker]
+            .softcore
+            .submit_at(blk.addr(), self.now);
     }
 
     /// Re-submit an aborted block unchanged (client-side retry): the block
@@ -497,7 +499,13 @@ impl Machine {
             self.banks[w].tick(self.now);
             let worker = &mut self.workers[w];
             let tables = &mut self.partitions[w].tables;
-            worker.tick(self.now, &mut self.banks[w], &self.cat, &mut self.noc, tables);
+            worker.tick(
+                self.now,
+                &mut self.banks[w],
+                &self.cat,
+                &mut self.noc,
+                tables,
+            );
         }
         if self.trace_sink.enabled() {
             for w in &mut self.workers {

@@ -544,7 +544,10 @@ impl EpochCoordinator {
         if Some(self.cap) == self.crash {
             return false;
         }
-        assert!(!self.extended, "machine did not quiesce within {limit} cycles");
+        assert!(
+            !self.extended,
+            "machine did not quiesce within {limit} cycles"
+        );
         if self.crash.is_some_and(|c| c < g) {
             return false;
         }
@@ -817,8 +820,7 @@ impl<'a> Crew<'a> {
             let k = self.claim();
             let entry = {
                 let mut sch = self.sched.lock().unwrap_or_else(PoisonError::into_inner);
-                sch.get_mut(k)
-                    .map(|e| (e.0, e.1, std::mem::take(&mut e.2)))
+                sch.get_mut(k).map(|e| (e.0, e.1, std::mem::take(&mut e.2)))
             };
             let Some((i, horizon, pending)) = entry else {
                 break;

@@ -217,7 +217,11 @@ impl LogRecord {
     }
 
     /// Decode a record body (already CRC-validated).
-    fn from_body(body: &[u8], index: usize, valid_prefix: usize) -> Result<LogRecord, RecoveryError> {
+    fn from_body(
+        body: &[u8],
+        index: usize,
+        valid_prefix: usize,
+    ) -> Result<LogRecord, RecoveryError> {
         let malformed = RecoveryError::MalformedRecord {
             index,
             valid_prefix,
@@ -619,10 +623,7 @@ mod tests {
         );
         let mut bytes = CommandLog::new().to_bytes();
         bytes.truncate(4);
-        assert_eq!(
-            CommandLog::from_bytes(&bytes),
-            Err(RecoveryError::BadMagic)
-        );
+        assert_eq!(CommandLog::from_bytes(&bytes), Err(RecoveryError::BadMagic));
         let mut bytes = CommandLog::new().to_bytes();
         bytes.truncate(12);
         assert_eq!(

@@ -173,10 +173,7 @@ impl PartitionWorker {
         if !self.db_chan.is_empty() || !self.coproc.out.is_empty() {
             return Some(now + 1);
         }
-        let mut next = match (
-            self.softcore.next_event(now),
-            self.coproc.next_event(now),
-        ) {
+        let mut next = match (self.softcore.next_event(now), self.coproc.next_event(now)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -248,9 +245,7 @@ impl PartitionWorker {
                     if self.retry.is_some() {
                         let seq = pkt.seq;
                         noc.poll(now, self.id);
-                        if let Some(i) =
-                            self.pending_remote.iter().position(|p| p.seq == seq)
-                        {
+                        if let Some(i) = self.pending_remote.iter().position(|p| p.seq == seq) {
                             self.pending_remote.swap_remove(i);
                             self.softcore.deliver_cp(now, resp.cp.index, resp.value);
                         } else {
@@ -403,9 +398,10 @@ impl PartitionWorker {
                 // Echo the originating request's seq so the initiator can
                 // match the response against its pending table.
                 let (dst, seq, inflight_idx) = if self.retry.is_some() {
-                    let idx = self.bg_inflight.iter().position(|e| {
-                        e.cp_worker == resp.cp.worker && e.cp_index == resp.cp.index
-                    });
+                    let idx = self
+                        .bg_inflight
+                        .iter()
+                        .position(|e| e.cp_worker == resp.cp.worker && e.cp_index == resp.cp.index);
                     match idx {
                         Some(i) => (self.bg_inflight[i].src, self.bg_inflight[i].seq, Some(i)),
                         None => (resp.cp.worker, 0, None),

@@ -426,8 +426,14 @@ fn staggered_injection_is_schedule_invariant() {
     // between arrivals. Every schedule must freeze on the same cycle with
     // the same report and durable bytes.
     use bionicdb::{Checkpoint, CommandLog, DurableImage, FaultPlan};
-    const ARRIVALS: [(u64, usize, u64); 6] =
-        [(0, 0, 1), (0, 1, 2), (700, 0, 1), (1500, 1, 2), (1501, 0, 1), (4200, 1, 2)];
+    const ARRIVALS: [(u64, usize, u64); 6] = [
+        (0, 0, 1),
+        (0, 1, 2),
+        (700, 0, 1),
+        (1500, 1, 2),
+        (1501, 0, 1),
+        (4200, 1, 2),
+    ];
     const HORIZON: u64 = 1 << 16;
     let run = |fast_forward: bool, threads: usize, crash: Option<u64>| {
         let mut b = SystemBuilder::new(BionicConfig::small(2));
@@ -466,7 +472,11 @@ fn staggered_injection_is_schedule_invariant() {
         for (&(cycle, _, key), &(worker, blk)) in ARRIVALS.iter().zip(&blocks) {
             db.step_until(cycle);
             let landed = crash.map_or(cycle, |c| cycle.min(c));
-            assert_eq!(db.now(), landed, "step_until lands on its target or the crash");
+            assert_eq!(
+                db.now(),
+                landed,
+                "step_until lands on its target or the crash"
+            );
             db.init_block(blk, bump);
             db.write_block_u64(blk, 0, key);
             db.submit(worker, blk);
@@ -491,9 +501,21 @@ fn staggered_injection_is_schedule_invariant() {
     };
     for crash in [None, Some(1530), Some(3000)] {
         let strict = run(false, 1, crash);
-        assert_eq!(strict, run(true, 1, crash), "fast-forward diverged ({crash:?})");
-        assert_eq!(strict, run(true, 2, crash), "epoch-parallel diverged ({crash:?})");
-        assert_eq!(strict, run(true, 4, crash), "epoch-parallel(4) diverged ({crash:?})");
+        assert_eq!(
+            strict,
+            run(true, 1, crash),
+            "fast-forward diverged ({crash:?})"
+        );
+        assert_eq!(
+            strict,
+            run(true, 2, crash),
+            "epoch-parallel diverged ({crash:?})"
+        );
+        assert_eq!(
+            strict,
+            run(true, 4, crash),
+            "epoch-parallel(4) diverged ({crash:?})"
+        );
         match crash {
             Some(1530) => assert_eq!(strict.1, 3, "the crash caught 1500/1501 in flight"),
             Some(_) => assert_eq!(strict.1, 5, "the idle-span crash lost nothing"),

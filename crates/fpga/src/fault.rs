@@ -222,7 +222,9 @@ impl FaultPlan {
             plan.crash_at = Some(lo + rng.below(hi.saturating_sub(lo).max(1)));
         }
         for _ in 0..budget.noc_drops {
-            plan.noc.drops.push(rng.below(budget.noc_send_window.max(1)));
+            plan.noc
+                .drops
+                .push(rng.below(budget.noc_send_window.max(1)));
         }
         for _ in 0..budget.noc_delays {
             plan.noc.delays.push(NocDelay {
@@ -317,9 +319,18 @@ mod tests {
         let mut img = vec![0u8; 4];
         CorruptByte::apply_all(
             &[
-                CorruptByte { offset: 1, xor: 0xff },
-                CorruptByte { offset: 6, xor: 0x01 },
-                CorruptByte { offset: 0, xor: 0x00 },
+                CorruptByte {
+                    offset: 1,
+                    xor: 0xff,
+                },
+                CorruptByte {
+                    offset: 6,
+                    xor: 0x01,
+                },
+                CorruptByte {
+                    offset: 0,
+                    xor: 0x00,
+                },
             ],
             &mut img,
         );

@@ -47,11 +47,9 @@ pub use dram::{
     mlp_bucket, Dram, DramFrames, DramStats, MemData, MemKind, MemRequest, MemResponse, PortId,
     PortStats, Tag, MLP_BUCKETS,
 };
-pub use obs::{
-    AbortReasons, ChromeTraceSink, LatencyHistogram, NullSink, TraceSink, TxnEvent,
-};
 pub use fault::{CorruptByte, DramFaults, FaultBudget, FaultPlan, NocFaults, TornWrite};
 pub use fifo::Fifo;
 pub use lock_table::LockTable;
+pub use obs::{AbortReasons, ChromeTraceSink, LatencyHistogram, NullSink, TraceSink, TxnEvent};
 pub use region::Region;
 pub use timing::{Cycle, FpgaConfig};

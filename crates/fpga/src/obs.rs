@@ -227,7 +227,12 @@ impl AbortReasons {
 
     /// Total aborts across every cause.
     pub fn total(&self) -> u64 {
-        self.not_found + self.cc_conflict + self.dirty + self.bad_request + self.timeout + self.other
+        self.not_found
+            + self.cc_conflict
+            + self.dirty
+            + self.bad_request
+            + self.timeout
+            + self.other
     }
 
     /// Append the counters as JSON object members (no braces) into `out`.

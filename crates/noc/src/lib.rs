@@ -521,7 +521,10 @@ impl EpochLink {
 
 impl Link for EpochLink {
     fn peek(&self, now: u64, dst: PartitionId) -> Option<&Packet> {
-        debug_assert_eq!(dst.0 as usize, self.id, "epoch link peeked for another worker");
+        debug_assert_eq!(
+            dst.0 as usize, self.id,
+            "epoch link peeked for another worker"
+        );
         match self.queue.front() {
             Some((ready, pkt)) if *ready <= now => Some(pkt),
             _ => None,
@@ -529,7 +532,10 @@ impl Link for EpochLink {
     }
 
     fn poll(&mut self, now: u64, dst: PartitionId) -> Option<Packet> {
-        debug_assert_eq!(dst.0 as usize, self.id, "epoch link polled for another worker");
+        debug_assert_eq!(
+            dst.0 as usize, self.id,
+            "epoch link polled for another worker"
+        );
         match self.queue.front() {
             Some((ready, _)) if *ready <= now => {
                 self.round.polls.push((now, self.id as u32));
@@ -851,7 +857,10 @@ mod tests {
         noc.set_faults(FaultPlan::none().delay_nth_send(0, 10).noc);
         noc.send(0, req_pkt(0, 1)).unwrap(); // ready at 13 instead of 3
         noc.send(1, req_pkt(0, 1)).unwrap(); // ready at 4, but behind
-        assert!(noc.poll(4, PartitionId(1)).is_none(), "head-of-line blocked");
+        assert!(
+            noc.poll(4, PartitionId(1)).is_none(),
+            "head-of-line blocked"
+        );
         assert!(noc.poll(13, PartitionId(1)).is_some());
         assert!(noc.poll(13, PartitionId(1)).is_some());
         assert_eq!(noc.stats().delayed, 1);
@@ -952,7 +961,11 @@ mod tests {
         noc.send(1, req_pkt(0, 1)).unwrap();
         let s = noc.stats();
         assert_eq!((s.sent, s.dropped), (2, 2));
-        assert_eq!(s.mean_latency(), 0.0, "sent == dropped must not divide by zero");
+        assert_eq!(
+            s.mean_latency(),
+            0.0,
+            "sent == dropped must not divide by zero"
+        );
         // And the healthy path still averages correctly.
         noc.send(2, req_pkt(0, 1)).unwrap();
         assert_eq!(noc.stats().mean_latency(), 3.0);

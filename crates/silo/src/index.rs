@@ -112,9 +112,7 @@ impl HashIndex {
             }
             cur = node.next.as_deref();
         }
-        let vaddr = self.vbase
-            + (1 << 30)
-            + self.next_slot.fetch_add(1, Ordering::Relaxed) * 64;
+        let vaddr = self.vbase + (1 << 30) + self.next_slot.fetch_add(1, Ordering::Relaxed) * 64;
         let node = Box::new(HashNode {
             key,
             rec,
@@ -578,7 +576,11 @@ mod tests {
         let mt = Masstree::new();
         let mut tr = NullTracer;
         for k in [9u64, 3, 7, 1, 5, 8, 2, 6, 4, 0] {
-            mt.insert(&mut tr, k, Record::new(1, k.to_le_bytes().to_vec(), 0x2_0000 + k * 128));
+            mt.insert(
+                &mut tr,
+                k,
+                Record::new(1, k.to_le_bytes().to_vec(), 0x2_0000 + k * 128),
+            );
         }
         let mut out = Vec::new();
         mt.scan(&mut tr, 3, 4, &mut out);

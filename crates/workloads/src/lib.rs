@@ -48,7 +48,7 @@ pub mod zipf;
 
 pub use abi::{SiloWorkload, StdWorkload, Workload};
 pub use serve::{ServeKind, ServeMix};
-pub use smallbank::{SmallBankSpec, SbOp};
+pub use smallbank::{SbOp, SmallBankSpec};
 pub use spec::{KvSpec, TpccSpec, YcsbSpec};
 pub use tpcc::TpccMix;
 pub use zipf::Zipf;

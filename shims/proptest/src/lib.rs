@@ -448,13 +448,13 @@ pub mod collection {
 }
 
 pub mod prelude {
+    /// Upstream exposes the crate under the alias `prop` in the prelude
+    /// (e.g. `prop::sample::Index`).
+    pub use crate as prop;
     pub use crate::{
         any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Just,
         ProptestConfig, Strategy,
     };
-    /// Upstream exposes the crate under the alias `prop` in the prelude
-    /// (e.g. `prop::sample::Index`).
-    pub use crate as prop;
 }
 
 #[macro_export]

@@ -101,7 +101,8 @@ abort:
         let mut db = b.build();
         for w in 0..2 {
             for k in 0..4u64 {
-                db.loader(w).insert(t, &k.to_le_bytes(), &0u64.to_le_bytes());
+                db.loader(w)
+                    .insert(t, &k.to_le_bytes(), &0u64.to_le_bytes());
             }
         }
         let mut log = CommandLog::new();

@@ -344,11 +344,7 @@ fn crash_plan_parallel_equivalence() {
                 0xC4A5,
                 mode,
             );
-            assert_identical(
-                &strict,
-                &other,
-                &format!("crash@{crash_at} [{mode:?}]"),
-            );
+            assert_identical(&strict, &other, &format!("crash@{crash_at} [{mode:?}]"));
         }
         if strict.crashed {
             assert_eq!(strict.now, crash_at, "crash stops on the crash cycle");
@@ -389,10 +385,7 @@ fn trace_bytes_identical_across_modes() {
     for mode in [Mode::Fast, Mode::Par(2), Mode::Par(4)] {
         let (other, other_trace) = run(mode);
         assert_identical(&strict, &other, &format!("traced [{mode:?}]"));
-        assert_eq!(
-            strict_trace, other_trace,
-            "trace bytes diverge [{mode:?}]"
-        );
+        assert_eq!(strict_trace, other_trace, "trace bytes diverge [{mode:?}]");
     }
 }
 
@@ -414,10 +407,7 @@ fn std_workload_run(w: StdWorkload, txns_per_worker: usize, mode: Mode) -> Snaps
 fn std_workloads_parallel_equivalence() {
     for w in StdWorkload::ALL {
         let strict = std_workload_run(w, 8, Mode::Strict);
-        assert!(
-            strict.machine.committed > 0,
-            "{w:?}: workload must commit"
-        );
+        assert!(strict.machine.committed > 0, "{w:?}: workload must commit");
         for mode in [Mode::Fast, Mode::Par(2), Mode::Par(4)] {
             let other = std_workload_run(w, 8, mode);
             assert_identical(&strict, &other, &format!("{w:?} [{mode:?}]"));

@@ -221,7 +221,11 @@ fn transfers_survive_injected_message_loss() {
                 .sum::<u64>()
         })
         .sum();
-    assert_eq!(total, workers as u64 * accounts_per * 1_000, "money conserved");
+    assert_eq!(
+        total,
+        workers as u64 * accounts_per * 1_000,
+        "money conserved"
+    );
     let s = db.noc().stats();
     assert!(s.dropped >= 1, "the fault plan actually fired: {s:?}");
     assert_noc_conservation(&db);

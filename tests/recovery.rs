@@ -143,10 +143,7 @@ fn corrupt_log_is_rejected() {
     let log = CommandLog::new();
     let mut bytes = log.to_bytes();
     bytes[0] = b'X';
-    assert_eq!(
-        CommandLog::from_bytes(&bytes),
-        Err(RecoveryError::BadMagic)
-    );
+    assert_eq!(CommandLog::from_bytes(&bytes), Err(RecoveryError::BadMagic));
 }
 
 #[test]
