@@ -51,6 +51,8 @@ same_as_committed() {
     fi
 }
 
+gate "rustfmt" cargo fmt --all -- --check
+
 gate "build (release, locked)" \
     cargo build --workspace --release --locked
 
