@@ -286,10 +286,11 @@ fn main() {
         // regime the batched level-wise traversal engines exist for —
         // stock one-hop hash probes have nothing to wave). Front-end
         // groups ([`ServeConfig::with_batch`]) feed
-        // `BatchMode::CrossTxn`, so flushed requests enter one
-        // softcore interleaving batch and their index probes share
-        // DRAM waves; the waves must beat unbatched dispatch on
-        // goodput outright.
+        // `BatchMode::CrossTxn`: while `width` requests are executing,
+        // admissions stage and leave together, spread over the workers
+        // by least-outstanding routing, and each worker's share joins
+        // its interleaving batch, whose index probes share DRAM waves.
+        // The waves must beat unbatched dispatch on goodput outright.
         if engine == Engine::Hw && kind == ServeKind::YcsbC {
             let width = 4usize;
             let p = probe_hw_variant(kind, HW_WORKERS, hw_probe_txns, true);

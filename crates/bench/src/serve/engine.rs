@@ -22,16 +22,25 @@
 //!
 //! ## Batched admission
 //!
-//! [`BatchPolicy`] turns the dispatcher into a staging buffer: admitted
-//! tickets accumulate until `width` are ready (or the oldest has waited
-//! `age_flush_ns`), then the whole group dispatches at once. Against the
-//! hardware engine this is what feeds `BatchMode::CrossTxn` (DESIGN.md
-//! §16) a real producer: a flushed group enters the softcore together,
-//! forms one interleaving batch, and its index probes ride the batch
-//! engines' DRAM waves. Staged tickets hold their server slots, so
-//! batching changes *when* work enters an engine, never admission
-//! accounting — with `batch: None` (every stock config) the staging path
-//! is never entered and the legacy behavior is untouched.
+//! [`BatchPolicy`] turns the dispatcher into a staging buffer, but only
+//! while the engine is busy. The loop counts the tickets still executing
+//! from its own slot accounting (`servers − free − staged`, never
+//! [`ServeEngine::in_flight`], which synchronous engines report as 0).
+//! While fewer than `width` execute, an admitted ticket dispatches at
+//! once, and a staged group flushes as soon as completions drop the count
+//! below `width`. Otherwise tickets stage until `width` are ready or the
+//! oldest has waited `age_flush_ns`. Bulk entry trades latency for
+//! throughput, and that only pays when work queues behind a busy device:
+//! an arrival to an underfed engine gains nothing by waiting.
+//!
+//! Against the hardware engine this feeds `BatchMode::CrossTxn` (DESIGN.md
+//! §16): co-dispatched tickets' index probes ride the batch engines' DRAM
+//! waves. A flushed group is *not* one interleaving batch, though — the
+//! engine routes each ticket to its least-outstanding worker, so a group
+//! of 4 over 2 idle workers splits 2 + 2. Staged tickets hold their server
+//! slots, so batching changes *when* work enters an engine, never
+//! admission accounting — with `batch: None` (every stock config) the
+//! staging path is never entered and the legacy behavior is untouched.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,6 +53,9 @@ use super::queue::{AdmissionQueue, Shed, Ticket};
 use super::{RetryBucket, RetryMode, ServeConfig, ServeSummary};
 
 /// Cross-transaction batching policy for the dispatcher (see module docs).
+/// Both fields are upper bounds: staging only happens while at least
+/// `width` dispatched tickets are still executing, and a staged group
+/// flushes early once completions drop that count below `width`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Dispatch a staged group as soon as it reaches this many tickets
@@ -137,6 +149,8 @@ struct ServeLoop<'a, E: ServeEngine> {
     sum: ServeSummary,
     heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
     seq: u64,
+    /// Server slots the loop started from.
+    servers: usize,
     free: usize,
     /// Tickets admitted and holding a server slot, awaiting batch flush.
     staged: Vec<Ticket>,
@@ -146,7 +160,33 @@ struct ServeLoop<'a, E: ServeEngine> {
     width: usize,
 }
 
-impl<E: ServeEngine> ServeLoop<'_, E> {
+impl<'a, E: ServeEngine> ServeLoop<'a, E> {
+    fn new(cfg: &'a ServeConfig, engine: &'a mut E) -> Self {
+        let servers = engine.servers().max(1);
+        ServeLoop {
+            cfg,
+            engine,
+            queue: AdmissionQueue::new(cfg.policy, cfg.queue_capacity),
+            bucket: match cfg.retry {
+                RetryMode::Budgeted(p) => Some(RetryBucket::new(&p)),
+                _ => None,
+            },
+            sum: ServeSummary::new(),
+            heap: BinaryHeap::new(),
+            seq: 0,
+            servers,
+            free: servers,
+            staged: Vec::new(),
+            staged_at: 0,
+            width: cfg.batch.map_or(1, |b| b.width.min(servers)),
+        }
+    }
+
+    /// Dispatched tickets not yet completed.
+    fn executing(&self) -> usize {
+        self.servers - self.free - self.staged.len()
+    }
+
     fn push(&mut self, t: u64, ev: Ev) {
         self.seq += 1;
         self.heap.push(Reverse((t, self.seq, ev)));
@@ -235,8 +275,12 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
     }
 
     /// Drain the admission queue into idle servers (or, with batching,
-    /// into the staging buffer) at `now`.
+    /// into the staging buffer) at `now`. A staged group leaves first if
+    /// completions have dropped the executing count below `width`.
     fn dispatch_ready(&mut self, now: u64) {
+        if !self.staged.is_empty() && self.executing() < self.width {
+            self.flush(now);
+        }
         while self.free > 0 {
             let Some(tk) = self.queue.take(now) else {
                 break;
@@ -249,13 +293,13 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
             match self.cfg.batch {
                 None => self.run_ticket(tk, now),
                 Some(b) => {
-                    if self.staged.is_empty() {
+                    self.staged.push(tk);
+                    if self.staged.len() >= self.width || self.executing() < self.width {
+                        self.flush(now);
+                    } else if self.staged.len() == 1 {
+                        // Only a ticket that waits schedules an age check.
                         self.staged_at = now;
                         self.push(now.saturating_add(b.age_flush_ns), Ev::Flush);
-                    }
-                    self.staged.push(tk);
-                    if self.staged.len() >= self.width {
-                        self.flush(now);
                     }
                 }
             }
@@ -347,6 +391,27 @@ impl<E: ServeEngine> ServeLoop<'_, E> {
             self.dispatch_ready(now);
         }
     }
+
+    /// Check that everything drained and fold the queue's shed ledger
+    /// into the conserved summary.
+    fn finish(self) -> ServeSummary {
+        assert!(
+            self.staged.is_empty(),
+            "staged tickets must flush before exit"
+        );
+        assert_eq!(self.engine.in_flight(), 0, "engine drained before exit");
+
+        // Expired entries purged inside the queue never re-emerged: they
+        // are terminal timeouts. Copy the queue's shed ledger out.
+        let mut sum = self.sum;
+        sum.timed_out += self.queue.dropped_expired;
+        sum.rejected = self.queue.rejected;
+        sum.dropped_expired = self.queue.dropped_expired;
+        sum.evicted = self.queue.evicted;
+        sum.queue_high_water = self.queue.high_water as u64;
+        sum.assert_conserved();
+        sum
+    }
 }
 
 /// Run one open-loop serving scenario against `engine` to completion and
@@ -359,39 +424,134 @@ pub fn serve_with<E: ServeEngine>(engine: &mut E, cfg: &ServeConfig) -> ServeSum
     // engines' transaction parameter draws.
     let mut rng_arr = SmallRng::seed_from_u64(cfg.seed);
     let mut gen = ArrivalGen::new(cfg.arrivals);
-    let free = engine.servers().max(1);
-    let width = cfg.batch.map_or(1, |b| b.width.min(free));
-    let mut lp = ServeLoop {
-        cfg,
-        engine,
-        queue: AdmissionQueue::new(cfg.policy, cfg.queue_capacity),
-        bucket: match cfg.retry {
-            RetryMode::Budgeted(p) => Some(RetryBucket::new(&p)),
-            _ => None,
-        },
-        sum: ServeSummary::new(),
-        heap: BinaryHeap::new(),
-        seq: 0,
-        free,
-        staged: Vec::new(),
-        staged_at: 0,
-        width,
-    };
+    let mut lp = ServeLoop::new(cfg, engine);
     lp.run(&mut rng_arr, &mut gen);
-    assert!(
-        lp.staged.is_empty(),
-        "staged tickets must flush before exit"
-    );
-    assert_eq!(lp.engine.in_flight(), 0, "engine drained before exit");
+    lp.finish()
+}
 
-    // Expired entries purged inside the queue never re-emerged: they are
-    // terminal timeouts. Copy the queue's shed ledger out.
-    let mut sum = lp.sum;
-    sum.timed_out += lp.queue.dropped_expired;
-    sum.rejected = lp.queue.rejected;
-    sum.dropped_expired = lp.queue.dropped_expired;
-    sum.evicted = lp.queue.evicted;
-    sum.queue_high_water = lp.queue.high_water as u64;
-    sum.assert_conserved();
-    sum
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::ArrivalProcess;
+
+    /// Service time of every dispatch on [`FixedService`].
+    const SVC_NS: u64 = 10_000;
+
+    /// An asynchronous engine whose every dispatch completes exactly
+    /// [`SVC_NS`] later, recording when each ticket was dispatched.
+    struct FixedService {
+        running: Vec<(u64, Ticket)>,
+        /// `(ticket id, dispatch ns)` in dispatch order.
+        dispatched: Vec<(u64, u64)>,
+    }
+
+    impl ServeEngine for FixedService {
+        fn servers(&self) -> usize {
+            16
+        }
+
+        fn dispatch(&mut self, tk: &Ticket, now_ns: u64) -> Dispatch {
+            self.running.push((now_ns + SVC_NS, *tk));
+            self.dispatched.push((tk.id, now_ns));
+            Dispatch::Pending
+        }
+
+        fn in_flight(&self) -> usize {
+            self.running.len()
+        }
+
+        fn advance(&mut self, to_ns: u64) -> Vec<Completion> {
+            let Some(first) = self.running.iter().map(|r| r.0).min() else {
+                return Vec::new();
+            };
+            if first > to_ns {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            self.running.retain(|&(done_ns, ticket)| {
+                if done_ns != first {
+                    return true;
+                }
+                out.push(Completion {
+                    ticket,
+                    done_ns,
+                    committed: true,
+                    svc_ns: SVC_NS,
+                });
+                false
+            });
+            out.sort_by_key(|c| c.ticket.id);
+            out
+        }
+    }
+
+    /// Serve one fresh request at each of `arrivals_ns` on
+    /// [`FixedService`] with `BatchPolicy { width: 4, age_flush_ns }`,
+    /// returning each ticket's dispatch time by id. The queue is
+    /// unbounded and the 16 slots never run out, so a ticket's admission
+    /// instant is its arrival.
+    fn dispatch_times(arrivals_ns: &[u64], age_flush_ns: u64) -> Vec<u64> {
+        let cfg = ServeConfig::baseline(
+            ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+            0,
+            u64::MAX,
+            16,
+            1,
+        )
+        .with_batch(4, age_flush_ns);
+        let mut engine = FixedService {
+            running: Vec::new(),
+            dispatched: Vec::new(),
+        };
+        let mut lp = ServeLoop::new(&cfg, &mut engine);
+        for (id, &t) in arrivals_ns.iter().enumerate() {
+            lp.push(
+                t,
+                Ev::Arrival(Ticket {
+                    id: id as u64,
+                    born_ns: t,
+                    deadline_ns: u64::MAX,
+                    txn_index: id,
+                    attempt: 0,
+                }),
+            );
+        }
+        lp.sum.fresh = arrivals_ns.len() as u64;
+        lp.run(
+            &mut SmallRng::seed_from_u64(cfg.seed),
+            &mut ArrivalGen::new(cfg.arrivals),
+        );
+        assert_eq!(lp.finish().good, arrivals_ns.len() as u64);
+        let mut at = vec![u64::MAX; arrivals_ns.len()];
+        for &(id, t) in &engine.dispatched {
+            at[id as usize] = t;
+        }
+        at
+    }
+
+    #[test]
+    fn underfed_engine_dispatches_at_admission() {
+        // Never `width` executing: no ticket waits for the age flush.
+        assert_eq!(dispatch_times(&[0, 100, 200], 5_000), [0, 100, 200]);
+    }
+
+    #[test]
+    fn busy_engine_dispatches_full_groups_or_at_the_age_flush() {
+        // 0–3 fill the engine to `width`. Behind them 4–7 leave as a full
+        // group at the last one's admission, and 8–9 at the age flush.
+        let arrivals = [0, 1, 2, 3, 100, 200, 300, 400, 500, 600];
+        let at = dispatch_times(&arrivals, 1_000);
+        assert_eq!(at[4..], [400, 400, 400, 400, 1_500, 1_500]);
+        for (&born, &dispatched) in arrivals.iter().zip(&at) {
+            assert!((born..=born + 1_000).contains(&dispatched));
+        }
+    }
+
+    #[test]
+    fn staged_group_flushes_when_a_completion_drops_executing_below_width() {
+        // 4–5 stage behind four executing tickets. The first completion
+        // releases them, long before their 20 µs age flush.
+        let at = dispatch_times(&[0, 1, 2, 3, 5_000, 5_001], 20_000);
+        assert_eq!(at, [0, 1, 2, 3, SVC_NS, SVC_NS]);
+    }
 }

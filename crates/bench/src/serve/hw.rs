@@ -116,7 +116,7 @@ pub const CHAINED_HASH_BUCKETS: u64 = 128;
 /// Build the workload a hardware serving run executes. `chained_hash`
 /// swaps YCSB-C's index for the [`CHAINED_HASH_BUCKETS`] long-chain
 /// table (ignored for every other kind, which have no such ablation).
-fn build_workload(
+pub fn build_workload(
     kind: ServeKind,
     workers: usize,
     cross_txn: Option<usize>,
@@ -220,7 +220,7 @@ impl BionicServeEngine {
     /// Build the engine for one run. `cross_txn` arms hardware
     /// cross-transaction index batching (pair it with
     /// [`ServeConfig::with_batch`](super::ServeConfig::with_batch) on the
-    /// front end so flushed groups actually enter together);
+    /// front end so a busy engine's admissions enter in groups);
     /// `chained_hash` serves the long-chain YCSB-C table (see
     /// [`CHAINED_HASH_BUCKETS`]). Callers should set `cfg.servers` to
     /// [`hw_servers`] so queue sizing tracks the machine's real

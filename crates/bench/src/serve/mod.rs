@@ -220,9 +220,12 @@ impl ServeConfig {
         }
     }
 
-    /// Enable cross-transaction batched admission (builder style): stage
-    /// admitted requests into groups of `width`, flushing a non-full
-    /// group once its oldest member has waited `age_flush_ns`.
+    /// Enable cross-transaction batched admission (builder style). While
+    /// at least `width` dispatched requests are still executing, admitted
+    /// requests stage into groups of `width`, and a non-full group
+    /// flushes once its oldest member has waited `age_flush_ns`. An
+    /// engine with fewer than `width` executing takes each admission at
+    /// once and any staged group with it (see [`engine::BatchPolicy`]).
     pub fn with_batch(mut self, width: usize, age_flush_ns: u64) -> ServeConfig {
         self.batch = Some(BatchPolicy {
             width,
