@@ -6,7 +6,7 @@
 //! | `threads`  | —                       | 2 sim threads ≡ serial fast-forward report: YCSB and SmallBank preloaded, YCSB streamed |
 //! | `workload` | `workload_goldens.json` | SmallBank strict ≡ fast-forward ≡ epoch-parallel ≡ rerun; chaos crash recovery and NoC drops |
 //! | `serve`    | `serve_golden.json`     | Silo serving matrix ≡ its rerun; rows are valid JSON |
-//! | `serve_hw` | `serve_hw_golden.json`  | hardware serving matrix ≡ its rerun; rows are valid JSON; ledgers conserved |
+//! | `serve_hw` | `serve_hw_golden.json`  | hardware serving matrix ≡ its rerun; rows are valid JSON; ledgers conserved; the TPC-C row retries aborts, not sheds |
 //! | `batch`    | `batch_golden.json`     | `batch_width` invisible with `BatchMode::Off`; batched smoke with MLP and stage rows |
 //! | `stats`    | —                       | report and trace ≡ rerun; trace sink bit-inert; schema keys; JSON file round-trip |
 //!
@@ -268,26 +268,29 @@ fn serve_rows() -> Vec<String> {
 }
 
 /// The hardware serving matrix: the full serving stack against the
-/// cycle-accurate machine, at 1.5x probed capacity. Small on purpose —
-/// each request simulates real hardware cycles — but it covers a
-/// commit-dominated kind (SmallBank at depth-2 interleaving, where OCC
-/// aborts feed retries too), the deep-interleave YCSB-C, and front-end
-/// batches of 4 feeding `BatchMode::CrossTxn` index waves.
+/// cycle-accurate machine. Small on purpose — each request simulates real
+/// hardware cycles. At 1.5x probed capacity it covers a commit-dominated
+/// kind (SmallBank at depth-2 interleaving, whose retries all follow
+/// sheds: every executed body commits), the deep-interleave YCSB-C, and
+/// front-end batches of 4 feeding `BatchMode::CrossTxn` index waves. A
+/// TPC-C row at 0.5x covers the abort path: nothing is shed there, so
+/// each of its retries follows a timestamp-ordering abort.
 fn serve_hw_rows() -> Vec<String> {
     let workers = 2;
     let mut rows = Vec::new();
-    for (kind, width) in [
-        (ServeKind::SmallBank, None),
-        (ServeKind::YcsbC, None),
-        (ServeKind::YcsbC, Some(4)),
+    for (kind, load, requests, width) in [
+        (ServeKind::SmallBank, 1.5, 150, None),
+        (ServeKind::YcsbC, 1.5, 150, None),
+        (ServeKind::YcsbC, 1.5, 150, Some(4)),
+        (ServeKind::TpccMixed, 0.5, 400, None),
     ] {
         let probe = probe_hw_variant(kind, workers, 48, false);
         let deadline = (probe.mean_latency_ns * 8.0) as u64;
         let arrivals = ArrivalProcess::Poisson {
-            rate_per_sec: 1.5 * probe.capacity_per_sec,
+            rate_per_sec: load * probe.capacity_per_sec,
         };
         let servers = hw_servers(kind, workers);
-        let mut cfg = ServeConfig::controlled(arrivals, 150, deadline, servers, kind.seed());
+        let mut cfg = ServeConfig::controlled(arrivals, requests, deadline, servers, kind.seed());
         let mut label = format!("hw/controlled/{}", kind.name());
         if let Some(width) = width {
             cfg = cfg.with_batch(width, (deadline / 8).max(1));
@@ -295,6 +298,12 @@ fn serve_hw_rows() -> Vec<String> {
         }
         let sum = simulate_hw_variant(kind, workers, width, false, &cfg);
         sum.assert_conserved();
+        if kind == ServeKind::TpccMixed {
+            assert!(
+                sum.retries >= 3 && sum.rejected == 0 && sum.evicted == 0,
+                "the TPC-C row must retry aborts, not sheds: {sum:?}"
+            );
+        }
         rows.push(sum.render_json(&label));
     }
     rows

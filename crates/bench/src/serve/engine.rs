@@ -41,6 +41,20 @@
 //! slots, so batching changes *when* work enters an engine, never
 //! admission accounting — with `batch: None` (every stock config) the
 //! staging path is never entered and the legacy behavior is untouched.
+//!
+//! ## Retry
+//!
+//! [`RetryMode::Budgeted`] is work-conserving too. When a request fails
+//! and nothing waits in the admission queue or the staging buffer, its
+//! retry arrives at once; otherwise it waits
+//! [`RetryPolicy::backoff_ns`](super::RetryPolicy::backoff_ns). Backoff
+//! keeps retries from piling onto a loaded server, but with nothing
+//! waiting it only leaves a slot idle and stretches the tail. The token
+//! bucket, `max_attempts` and the deadline bound a retry either way. A
+//! shed only happens at a full queue, so sheds always back off; in
+//! practice the immediate branch serves OCC aborts at light load. A
+//! synchronous engine settles an abort at dispatch, so the queue it
+//! looks at is the one at dispatch time, not at the abort's completion.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -194,7 +208,8 @@ impl<'a, E: ServeEngine> ServeLoop<'a, E> {
 
     /// Client-side failure handling: retry per policy or settle the
     /// terminal outcome. `shed` distinguishes admission sheds from OCC
-    /// aborts.
+    /// aborts. A budgeted retry skips its backoff when nothing waits in
+    /// the queue or the staging buffer (see the module docs).
     fn fail(&mut self, tk: Ticket, now: u64, shed: bool) {
         let next_attempt = tk.attempt + 1;
         let retry_at = match self.cfg.retry {
@@ -203,7 +218,12 @@ impl<'a, E: ServeEngine> ServeLoop<'a, E> {
                 (next_attempt < max_attempts).then_some(now + 1)
             }
             RetryMode::Budgeted(p) => {
-                let at = now + p.backoff_ns(next_attempt);
+                let idle = self.queue.is_empty() && self.staged.is_empty();
+                let at = if idle {
+                    now
+                } else {
+                    now + p.backoff_ns(next_attempt)
+                };
                 (next_attempt < p.max_attempts
                     && at < tk.deadline_ns
                     && self.bucket.as_mut().expect("budgeted bucket").try_take())
@@ -432,27 +452,33 @@ pub fn serve_with<E: ServeEngine>(engine: &mut E, cfg: &ServeConfig) -> ServeSum
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::ArrivalProcess;
+    use crate::serve::{ArrivalProcess, RetryPolicy};
 
     /// Service time of every dispatch on [`FixedService`].
     const SVC_NS: u64 = 10_000;
 
+    /// First-retry backoff of [`retry_cfg`].
+    const BACKOFF_NS: u64 = 50_000;
+
     /// An asynchronous engine whose every dispatch completes exactly
-    /// [`SVC_NS`] later, recording when each ticket was dispatched.
+    /// [`SVC_NS`] later, recording when each ticket was dispatched. The
+    /// listed `(ticket id, attempt)` executions abort; the rest commit.
     struct FixedService {
+        servers: usize,
+        aborts: Vec<(u64, u32)>,
         running: Vec<(u64, Ticket)>,
-        /// `(ticket id, dispatch ns)` in dispatch order.
-        dispatched: Vec<(u64, u64)>,
+        /// `(ticket id, attempt, dispatch ns)` in dispatch order.
+        dispatched: Vec<(u64, u32, u64)>,
     }
 
     impl ServeEngine for FixedService {
         fn servers(&self) -> usize {
-            16
+            self.servers
         }
 
         fn dispatch(&mut self, tk: &Ticket, now_ns: u64) -> Dispatch {
             self.running.push((now_ns + SVC_NS, *tk));
-            self.dispatched.push((tk.id, now_ns));
+            self.dispatched.push((tk.id, tk.attempt, now_ns));
             Dispatch::Pending
         }
 
@@ -468,6 +494,7 @@ mod tests {
                 return Vec::new();
             }
             let mut out = Vec::new();
+            let aborts = &self.aborts;
             self.running.retain(|&(done_ns, ticket)| {
                 if done_ns != first {
                     return true;
@@ -475,7 +502,7 @@ mod tests {
                 out.push(Completion {
                     ticket,
                     done_ns,
-                    committed: true,
+                    committed: !aborts.contains(&(ticket.id, ticket.attempt)),
                     svc_ns: SVC_NS,
                 });
                 false
@@ -485,32 +512,28 @@ mod tests {
         }
     }
 
-    /// Serve one fresh request at each of `arrivals_ns` on
-    /// [`FixedService`] with `BatchPolicy { width: 4, age_flush_ns }`,
-    /// returning each ticket's dispatch time by id. The queue is
-    /// unbounded and the 16 slots never run out, so a ticket's admission
-    /// instant is its arrival.
-    fn dispatch_times(arrivals_ns: &[u64], age_flush_ns: u64) -> Vec<u64> {
-        let cfg = ServeConfig::baseline(
-            ArrivalProcess::Poisson { rate_per_sec: 1.0 },
-            0,
-            u64::MAX,
-            16,
-            1,
-        )
-        .with_batch(4, age_flush_ns);
+    /// Serve one fresh request at each of `arrivals_ns` under `cfg` on a
+    /// [`FixedService`] with `cfg.servers` slots whose `aborts` abort.
+    /// Returns the ledger and the engine's dispatch record.
+    fn serve_script(
+        cfg: &ServeConfig,
+        arrivals_ns: &[u64],
+        aborts: &[(u64, u32)],
+    ) -> (ServeSummary, Vec<(u64, u32, u64)>) {
         let mut engine = FixedService {
+            servers: cfg.servers,
+            aborts: aborts.to_vec(),
             running: Vec::new(),
             dispatched: Vec::new(),
         };
-        let mut lp = ServeLoop::new(&cfg, &mut engine);
+        let mut lp = ServeLoop::new(cfg, &mut engine);
         for (id, &t) in arrivals_ns.iter().enumerate() {
             lp.push(
                 t,
                 Ev::Arrival(Ticket {
                     id: id as u64,
                     born_ns: t,
-                    deadline_ns: u64::MAX,
+                    deadline_ns: t.saturating_add(cfg.deadline_ns),
                     txn_index: id,
                     attempt: 0,
                 }),
@@ -521,12 +544,51 @@ mod tests {
             &mut SmallRng::seed_from_u64(cfg.seed),
             &mut ArrivalGen::new(cfg.arrivals),
         );
-        assert_eq!(lp.finish().good, arrivals_ns.len() as u64);
+        let sum = lp.finish();
+        (sum, engine.dispatched)
+    }
+
+    /// Serve one fresh request at each of `arrivals_ns` on 16 slots with
+    /// `BatchPolicy { width: 4, age_flush_ns }`, returning each ticket's
+    /// dispatch time by id. The queue is unbounded and the 16 slots never
+    /// run out, so a ticket's admission instant is its arrival.
+    fn dispatch_times(arrivals_ns: &[u64], age_flush_ns: u64) -> Vec<u64> {
+        let cfg = ServeConfig::baseline(
+            ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+            0,
+            u64::MAX,
+            16,
+            1,
+        )
+        .with_batch(4, age_flush_ns);
+        let (sum, dispatched) = serve_script(&cfg, arrivals_ns, &[]);
+        assert_eq!(sum.good, arrivals_ns.len() as u64);
         let mut at = vec![u64::MAX; arrivals_ns.len()];
-        for &(id, t) in &engine.dispatched {
+        for &(id, _, t) in &dispatched {
             at[id as usize] = t;
         }
         at
+    }
+
+    /// A controlled config over `servers` slots whose budgeted retry
+    /// allows `max_attempts` attempts, backs off [`BACKOFF_NS`] first, and
+    /// starts with `burst` tokens but earns none.
+    fn retry_cfg(servers: usize, deadline_ns: u64, max_attempts: u32, burst: f64) -> ServeConfig {
+        let mut cfg = ServeConfig::controlled(
+            ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+            0,
+            deadline_ns,
+            servers,
+            1,
+        );
+        cfg.retry = RetryMode::Budgeted(RetryPolicy {
+            max_attempts,
+            base_backoff_ns: BACKOFF_NS,
+            max_backoff_ns: 4 * BACKOFF_NS,
+            budget_ratio: 0.0,
+            burst,
+        });
+        cfg
     }
 
     #[test]
@@ -553,5 +615,55 @@ mod tests {
         // releases them, long before their 20 µs age flush.
         let at = dispatch_times(&[0, 1, 2, 3, 5_000, 5_001], 20_000);
         assert_eq!(at, [0, 1, 2, 3, SVC_NS, SVC_NS]);
+    }
+
+    #[test]
+    fn abort_with_nothing_waiting_retries_at_its_settle_instant() {
+        let cfg = retry_cfg(2, 1_000_000, 4, 8.0);
+        let (sum, at) = serve_script(&cfg, &[0], &[(0, 0)]);
+        assert_eq!(at, [(0, 0, 0), (0, 1, SVC_NS)]);
+        assert_eq!((sum.good, sum.retries), (1, 1));
+    }
+
+    #[test]
+    fn abort_while_a_ticket_waits_backs_off() {
+        // One slot: ticket 1 is queued behind 0 when 0 aborts.
+        let cfg = retry_cfg(1, 1_000_000, 4, 8.0);
+        let (sum, at) = serve_script(&cfg, &[0, 1], &[(0, 0)]);
+        assert_eq!(at, [(0, 0, 0), (1, 0, SVC_NS), (0, 1, SVC_NS + BACKOFF_NS)]);
+        assert_eq!((sum.good, sum.retries), (2, 1));
+    }
+
+    #[test]
+    fn shed_always_backs_off() {
+        // One slot and a one-deep queue: ticket 2 is rejected at t = 2.
+        let mut cfg = retry_cfg(1, 1_000_000, 4, 8.0);
+        cfg.queue_capacity = 1;
+        let (sum, at) = serve_script(&cfg, &[0, 1, 2], &[]);
+        assert_eq!(at, [(0, 0, 0), (1, 0, SVC_NS), (2, 1, 2 + BACKOFF_NS)]);
+        assert_eq!((sum.good, sum.rejected, sum.retries), (3, 1, 1));
+    }
+
+    #[test]
+    fn empty_bucket_ends_the_request_as_aborted() {
+        // One token: ticket 0's retry spends it, ticket 1 finds none.
+        let cfg = retry_cfg(2, 1_000_000, 4, 1.0);
+        let (sum, at) = serve_script(&cfg, &[0, 100_000], &[(0, 0), (1, 0)]);
+        assert_eq!(at, [(0, 0, 0), (0, 1, SVC_NS), (1, 0, 100_000)]);
+        assert_eq!((sum.good, sum.aborted, sum.retries), (1, 1, 1));
+    }
+
+    #[test]
+    fn max_attempts_and_deadline_still_bound_retries() {
+        let always = [(0, 0), (0, 1), (0, 2), (0, 3)];
+        // Three attempts allowed: the third abort is terminal.
+        let (sum, at) = serve_script(&retry_cfg(2, 1_000_000, 3, 8.0), &[0], &always);
+        assert_eq!(at, [(0, 0, 0), (0, 1, SVC_NS), (0, 2, 2 * SVC_NS)]);
+        assert_eq!((sum.aborted, sum.retries), (1, 2));
+        // A retry must arrive before the deadline, and the second abort
+        // settles exactly at it.
+        let (sum, at) = serve_script(&retry_cfg(2, 2 * SVC_NS, 4, 8.0), &[0], &always);
+        assert_eq!(at, [(0, 0, 0), (0, 1, SVC_NS)]);
+        assert_eq!((sum.aborted, sum.retries), (1, 1));
     }
 }

@@ -14,7 +14,9 @@
 //! cycle (the high bits of the hardware commit timestamp, which the
 //! writeback stamps as `(cycle << 10) | worker`); an aborted block
 //! settles at the detection cycle, chunk-granular, mirroring how the
-//! host would poll a completion ring.
+//! host would poll a completion ring. A retry that finds nothing waiting
+//! starts at that detection instant, so the up to 512 cycles between the
+//! abort and its detection add to the retried request's sojourn.
 //!
 //! ## Virtual-time contract
 //!
@@ -205,7 +207,10 @@ pub struct BionicServeEngine {
     /// Dispatches begun, also the wave index fed to `Workload::submit`
     /// (monotone, so per-worker generator state never sees a duplicate —
     /// retried tickets get fresh transaction parameters, like a client
-    /// re-issuing the request).
+    /// re-issuing the request). The workloads pick the transaction kind
+    /// from this index, not from `Ticket::txn_index`, so a retry can run
+    /// another kind than its first attempt: TPC-C NewOrder may come back
+    /// as Payment, and a SmallBank op may change type.
     dispatched: usize,
     inflight: Vec<InFlight>,
     /// Live dispatches per worker, for least-outstanding routing.
@@ -332,7 +337,9 @@ impl ServeEngine for BionicServeEngine {
         };
         // `Workload::submit` populates the block (consuming `rng_txn` in
         // dispatch order) and enters it through `Machine::submit` — an
-        // injection at the machine's current cycle.
+        // injection at the machine's current cycle. Its index `i` is the
+        // dispatch count, which also picks the mix kind; `tk.txn_index`
+        // is not consulted.
         self.w.submit(worker, i, blk, &mut self.rng_txn);
         self.outstanding[worker] += 1;
         self.inflight.push(InFlight {

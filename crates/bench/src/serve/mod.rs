@@ -68,13 +68,18 @@ pub enum RetryMode {
         max_attempts: u32,
     },
     /// Exponential backoff plus a global retry budget (token bucket).
+    /// Work-conserving: a retry skips the backoff when nothing waits in
+    /// the admission queue or the staging buffer.
     Budgeted(RetryPolicy),
 }
 
 /// Budgeted retry: exponential backoff capped at `max_backoff_ns`, and a
 /// token bucket that earns `budget_ratio` tokens per *fresh* request —
 /// so retries can never exceed that fraction of offered load, which is
-/// what prevents retry storms from amplifying an overload.
+/// what prevents retry storms from amplifying an overload. The backoff
+/// only applies while work waits for a server: a retry that finds the
+/// admission queue and the staging buffer empty arrives at once, and
+/// still spends a token.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per request (1 = no retries).
@@ -192,7 +197,9 @@ impl ServeConfig {
     }
 
     /// The controlled server: bounded queue with deadline-aware drops,
-    /// commit-point enforcement, budgeted backoff retry.
+    /// commit-point enforcement, budgeted retry (up to 4 attempts, backoff
+    /// from `deadline / 8` to `deadline / 2` while work waits, at once when
+    /// nothing does, 0.1 tokens per fresh request, burst 8).
     pub fn controlled(
         arrivals: ArrivalProcess,
         requests: usize,

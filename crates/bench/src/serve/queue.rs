@@ -62,8 +62,11 @@ pub struct Ticket {
     pub born_ns: u64,
     /// Absolute deadline, nanoseconds (`u64::MAX` = none).
     pub deadline_ns: u64,
-    /// Mix-selection index — fixed at birth so retries re-run the same
-    /// transaction kind.
+    /// Mix-selection index, fixed at birth. The Silo engine picks the
+    /// transaction kind from it, so a retry there re-runs the same kind.
+    /// The hardware engine ignores it and picks the kind from its own
+    /// dispatch count, so a retried TPC-C NewOrder can come back as a
+    /// Payment there (see `BionicServeEngine`).
     pub txn_index: usize,
     /// 0 for the fresh attempt, incremented per retry.
     pub attempt: u32,
