@@ -18,6 +18,18 @@
 //! starts at that detection instant, so the up to 512 cycles between the
 //! abort and its detection add to the retried request's sojourn.
 //!
+//! Chunking delays commits' successors too, not only abort detection.
+//! `advance` harvests at a chunk end (or at the front end's next event),
+//! and the serving loop re-dispatches each freed slot at the harvest's
+//! latest `done_ns`. That instant is behind the machine's clock, so
+//! [`ServeEngine::dispatch`] does not step and injects at the machine's
+//! current cycle, the chunk end: a queued ticket starts executing up to
+//! 512 cycles after the completion that freed its slot, and that lag is
+//! charged to its service time. Harvesting at the exact settle tick was
+//! measured and lowered `tpcc_serve` capacity, because the lag happens
+//! to group softcore admissions (EXPERIMENTS.md "Full batch waves from
+//! interleaved groups"); the chunking stays as it is.
+//!
 //! ## Virtual-time contract
 //!
 //! The front end's clock is nanoseconds; the machine's is FPGA cycles at
@@ -53,9 +65,11 @@ use super::queue::Ticket;
 use super::ServeConfig;
 
 /// Cycles advanced per `step_until` call inside [`ServeEngine::advance`]:
-/// the completion-detection granularity for *aborts* (commits report
-/// their exact hardware cycle regardless). 512 cycles ≈ 4 µs at the
-/// default 125 MHz clock — far below any deadline worth measuring.
+/// the granularity at which completions are harvested. A commit reports
+/// its exact hardware cycle and an abort its chunk-end detection cycle,
+/// but either way a queued ticket dispatched into the freed slot enters
+/// the machine at the chunk end, up to 512 cycles late (module docs).
+/// 512 cycles ≈ 4 µs at the default 125 MHz clock.
 pub const ADVANCE_CHUNK_CYCLES: u64 = 512;
 
 /// Seed decorrelation constant for the transaction-parameter stream
@@ -111,7 +125,7 @@ pub fn hw_config(kind: ServeKind, workers: usize, cross_txn: Option<usize>) -> B
 /// level-wise traversal engines (DESIGN.md §16) exist for — short-chain
 /// stock YCSB resolves in one hop and wave formation only adds latency
 /// there (measured ~0.85x), while 16-deep chains give CrossTxn waves
-/// ~1.8x capacity at width 4. The batched-admission serving claim runs
+/// ~1.9x capacity at width 4. The batched-admission serving claim runs
 /// on this variant for exactly that reason.
 pub const CHAINED_HASH_BUCKETS: u64 = 128;
 

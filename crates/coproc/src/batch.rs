@@ -42,10 +42,13 @@ use crate::mem::AsyncReader;
 use crate::sdbm::{bucket_of, sdbm_hash};
 use crate::skiplist::next_ptr_addr;
 
-/// Cycles a partially filled batch waits for more probes of its group
-/// before launching anyway. Keeps a trickle of tagged probes from waiting
-/// forever on an unreachable width target (the launch rule below fires on
-/// width, on a group boundary, or on this age — whichever comes first).
+/// Cycles the pending queue waits, while it holds one group only and
+/// fewer than `width` probes of it, before that group launches anyway.
+/// Keeps a trickle of tagged probes from waiting forever on an unreachable
+/// width target. The launch rule fires on whichever comes first: `width`
+/// probes of the head group anywhere in the queue, a second group pending,
+/// or this age, counted from the last launch or from when the queue last
+/// became non-empty.
 const FLUSH_AGE: u64 = 16;
 
 /// Counters of one batch engine, surfaced by the bench bins.
@@ -65,8 +68,8 @@ pub struct BatchStats {
     pub dedup_saved: u64,
     /// Cycles the head wave stalled on a locked hash bucket.
     pub lock_stalls: u64,
-    /// Batches launched by the age flush rather than a full width or a
-    /// group boundary.
+    /// Batches launched by the age flush: the head group counted fewer
+    /// than `width` probes and no other group was pending.
     pub flush_launches: u64,
 }
 
@@ -262,38 +265,51 @@ impl BatchEngine {
         self.stage.wave_tick(state, retired);
     }
 
-    /// Launch a batch when the head group reaches full width, is closed by
-    /// a different group queued behind it, or has aged past the flush
-    /// deadline.
+    /// Launch a batch of the oldest pending probe's group (the head group)
+    /// when that group has `width` probes anywhere in `pending`, when
+    /// another group is pending beside it, or when the queue has aged past
+    /// [`FLUSH_AGE`]. The batch takes the first `min(count, width)` probes
+    /// of the head group in admission order and leaves every other probe
+    /// where it was — in hardware, a tag match over the `2 × width`
+    /// pending entries. Remote probes keep their sender's group, so a
+    /// worker serving its own and a peer's transactions sees the groups
+    /// interleaved; counting only the same-group prefix would launch
+    /// part-empty waves. The head group always launches next, so no group
+    /// starves.
     fn try_launch(&mut self, now: u64) -> bool {
         if self.active.is_some() || self.pending.is_empty() {
             return false;
         }
         let group = self.pending[0].batch_group;
-        let prefix = self
+        let count = self
             .pending
             .iter()
-            .take_while(|r| r.batch_group == group)
+            .filter(|r| r.batch_group == group)
             .count();
-        let closed = prefix < self.pending.len();
+        let mixed = count < self.pending.len();
         let aged = now >= self.pending_since.saturating_add(FLUSH_AGE);
-        if prefix < self.width && !closed && !aged {
+        if count < self.width && !mixed && !aged {
             return false;
         }
-        if aged && prefix < self.width && !closed {
+        if aged && count < self.width && !mixed {
             self.stats.flush_launches += 1;
         }
-        let n = prefix.min(self.width);
-        let probes = (0..n)
-            .map(|_| Probe {
-                req: self.pending.pop_front().expect("counted prefix"),
+        let n = count.min(self.width);
+        let mut probes = Vec::with_capacity(n);
+        self.pending.retain(|r| {
+            if probes.len() == n || r.batch_group != group {
+                return true;
+            }
+            probes.push(Probe {
+                req: *r,
                 key: IndexKey::from_u64(0),
                 bucket: 0,
                 cur: 0,
                 state: PState::NeedKey,
                 result: None,
-            })
-            .collect();
+            });
+            false
+        });
         self.pending_since = now;
         self.active = Some(Batch {
             probes,
@@ -581,5 +597,81 @@ impl BatchEngine {
         }
         self.stats.probes += n;
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bionicdb_fpga::{FpgaConfig, Region};
+    use bionicdb_softcore::catalogue::{TableId, TableMeta};
+    use bionicdb_softcore::request::{CpSlot, DbOp, PartitionId};
+
+    /// Groups interleaved in `pending` (a worker's own probes beside a
+    /// peer's remote ones) still launch one full wave per group.
+    #[test]
+    fn interleaved_groups_launch_one_full_wave() {
+        const A: u64 = (1 << 63) | 1;
+        const B: u64 = (1 << 63) | 2;
+        let fcfg = FpgaConfig::default();
+        let mut dram = Dram::new(&fcfg, 16 << 20);
+        let mut region = Region::new(8 << 20, 8 << 20);
+        let tables = [TableState {
+            meta: TableMeta::hash("h", 8, 32, 64),
+            dir_addr: region.alloc(8 * 64, 64),
+            heap: region.carve(4 << 20, 64),
+            max_level: 20,
+        }];
+        let mut engine = BatchEngine::new(&mut dram, IndexKind::Hash, 4);
+        for i in 0..8u16 {
+            let key_addr = 4096 * (u64::from(i) + 1);
+            dram.host_write(key_addr, IndexKey::from_u64(u64::from(i)).as_bytes());
+            let req = DbRequest {
+                op: DbOp::Search,
+                table: TableId(0),
+                key_addr,
+                payload_addr: key_addr + 64,
+                scan_count: 0,
+                out_addr: key_addr + 128,
+                ts: 100,
+                cp: CpSlot {
+                    worker: PartitionId(0),
+                    index: i,
+                },
+                home: PartitionId(0),
+                batch_group: if i % 2 == 0 { A } else { B },
+            };
+            assert!(engine.offer(req, 0), "eight probes fit 2 × width");
+        }
+
+        engine.tick(1, &mut dram, &tables, None);
+        let first: Vec<u64> = engine
+            .active
+            .as_ref()
+            .expect("launched")
+            .probes
+            .iter()
+            .map(|p| p.req.batch_group)
+            .collect();
+        assert_eq!(first, [A; 4], "the first wave holds every A probe");
+
+        let mut order = Vec::new();
+        for now in 2..10_000 {
+            dram.tick(now);
+            engine.tick(now, &mut dram, &tables, None);
+            while let Some(r) = engine.pop_out() {
+                order.push(r.cp.index);
+            }
+            if engine.is_idle() {
+                break;
+            }
+        }
+        assert_eq!(
+            order,
+            [0, 2, 4, 6, 1, 3, 5, 7],
+            "each group in admission order"
+        );
+        assert_eq!(engine.stats().batches, 2);
+        assert_eq!(engine.stats().probes, 8);
     }
 }

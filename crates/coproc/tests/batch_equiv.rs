@@ -7,7 +7,9 @@
 //! softcore groups a transaction's read set (one probe per record): CC
 //! side effects on different records commute, so result equivalence is
 //! well-defined even though the batch engine resolves probes in a
-//! different cycle order than the pipelines.
+//! different cycle order than the pipelines. Each probe carries one of
+//! three group tags, so groups interleave in the engine's pending queue
+//! the way a worker's own probes interleave with a peer's remote ones.
 
 use bionicdb_coproc::layout::TableState;
 use bionicdb_coproc::{CoprocConfig, IndexCoproc};
@@ -19,6 +21,8 @@ use proptest::prelude::*;
 
 const PAYLOAD: u32 = 32;
 const GROUP: u64 = (1 << 63) | 7;
+/// The group tags a generated wave draws from.
+const GROUPS: [u64; 3] = [GROUP, (1 << 63) | 8, (1 << 63) | 9];
 
 struct Rig {
     dram: Dram,
@@ -127,16 +131,19 @@ impl Rig {
     }
 }
 
-/// One probe of the generated wave: an op on a key, hit or miss.
+/// One probe of the generated wave: an op on a key, hit or miss, in one
+/// of the [`GROUPS`].
 #[derive(Debug, Clone, Copy)]
 struct ProbeOp {
     op: DbOp,
     key: u64,
+    group: u64,
 }
 
-fn arb_probe_op() -> impl Strategy<Value = (u8, u64)> {
-    // (op selector, key). Keys 0..24 may exist; 24..48 always miss.
-    (0u8..3, 0u64..48)
+fn arb_probe_op() -> impl Strategy<Value = (u8, u64, usize)> {
+    // (op selector, key, group index). Keys 0..24 may exist; 24..48
+    // always miss.
+    (0u8..3, 0u64..48, 0..GROUPS.len())
 }
 
 /// Run the same build + probe wave through a batched and an unbatched rig
@@ -154,12 +161,12 @@ fn check_equivalence(
     batched.build(table, build_keys, commit_mask);
     plain.build(table, build_keys, commit_mask);
 
-    // Same probe wave; only the group tag differs. Distinct keys and ts
-    // strictly above the build ts keep CC effects commutative.
+    // Same probe wave; the plain rig gets no group tag. Distinct keys and
+    // ts strictly above the build ts keep CC effects commutative.
     let mut ts = 100;
     for (i, p) in probes.iter().enumerate() {
         ts += 10;
-        let rb = batched.req(p.op, table, p.key, ts, i as u16, GROUP);
+        let rb = batched.req(p.op, table, p.key, ts, i as u16, p.group);
         let rp = plain.req(p.op, table, p.key, ts, i as u16, 0);
         batched.coproc.input.push(rb).expect("input space");
         plain.coproc.input.push(rp).expect("input space");
@@ -180,8 +187,21 @@ fn check_equivalence(
     // nothing to divert).
     if !probes.is_empty() && mode != BatchMode::Off {
         let (h, s) = batched.coproc.batch_stats().expect("engines constructed");
-        let through_engine = if table == 0 { h.probes } else { s.probes };
-        prop_assert_eq!(through_engine, probes.len() as u64);
+        let engine = if table == 0 { h } else { s };
+        prop_assert_eq!(engine.probes, probes.len() as u64);
+        // A wave of at most `2 × width` probes is pending whole before the
+        // first launch, and each launch takes up to `width` probes of the
+        // head group from anywhere in the queue: every group needs
+        // exactly `ceil(n_g / width)` batches, however the groups
+        // interleave.
+        if probes.len() <= 2 * width {
+            let full_waves: usize = GROUPS
+                .iter()
+                .map(|g| probes.iter().filter(|p| p.group == *g).count())
+                .map(|n| n.div_ceil(width))
+                .sum();
+            prop_assert_eq!(engine.batches, full_waves as u64);
+        }
     }
 }
 
@@ -208,14 +228,15 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         let probes: Vec<ProbeOp> = raw_probes
             .into_iter()
-            .filter(|(_, k)| seen.insert(*k))
-            .map(|(sel, key)| ProbeOp {
+            .filter(|(_, k, _)| seen.insert(*k))
+            .map(|(sel, key, g)| ProbeOp {
                 op: match sel {
                     0 => DbOp::Search,
                     1 => DbOp::Update,
                     _ => DbOp::Remove,
                 },
                 key,
+                group: GROUPS[g],
             })
             .collect();
         check_equivalence(
